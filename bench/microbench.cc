@@ -6,21 +6,29 @@
 // experiments.
 #include <benchmark/benchmark.h>
 
+#include <malloc.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "apps/httpd.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
+#include "net/stack.h"
+#include "net/wire.h"
 #include "sim/executor.h"
 #include "sim/random.h"
 #include "skb/skb.h"
 #include "urpc/channel.h"
 
-// Global allocation counter: every operator new in the process bumps it, so
-// a benchmark can report exact heap-allocation counts for a measured region
-// (see BM_ExecutorSteadyStateAllocs).
+// Global allocation counters: every operator new/delete in the process bumps
+// one, so a benchmark can report exact heap-allocation counts for a measured
+// region (see BM_ExecutorSteadyStateAllocs) and, from their difference, the
+// allocations still live (see BM_HeldConnectionFootprint).
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_free_count{0};
 
 void* operator new(std::size_t n) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
@@ -32,10 +40,15 @@ void* operator new(std::size_t n) {
 
 void* operator new[](std::size_t n) { return ::operator new(n); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  if (p != nullptr) {
+    g_free_count.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace {
 
@@ -259,6 +272,102 @@ void BM_RngThroughput(benchmark::State& state) {
   benchmark::DoNotOptimize(acc);
 }
 BENCHMARK(BM_RngThroughput);
+
+// --- Held keep-alive connections: host memory per connection ---
+
+constexpr net::Ipv4Addr kSrvIp = net::MakeIp(10, 0, 0, 1);
+constexpr net::Ipv4Addr kCliIp = net::MakeIp(10, 0, 1, 1);
+const net::MacAddr kSrvMac{2, 0, 0, 0, 0, 1};
+const net::MacAddr kCliMac{2, 0, 0, 1, 0, 1};
+const char kKeepAliveRequest[] = "GET / HTTP/1.1\r\nHost: bench\r\n\r\n";
+
+// Opens `n` connections one after another; each serves one request, reads
+// the whole response, and is then held idle.
+Task<> HoldConnections(net::NetStack& client, int n, std::size_t response_bytes,
+                       std::vector<net::NetStack::TcpConn*>& held) {
+  for (int i = 0; i < n; ++i) {
+    net::NetStack::TcpConn* conn = co_await client.TcpConnect(kSrvIp, 80);
+    if (conn == nullptr) {
+      co_return;
+    }
+    co_await client.TcpSend(*conn, kKeepAliveRequest);
+    std::size_t got = 0;
+    while (got < response_bytes) {
+      std::vector<std::uint8_t> chunk = co_await conn->Read();
+      if (chunk.empty()) {
+        co_return;
+      }
+      got += chunk.size();
+    }
+    held.push_back(conn);
+  }
+}
+
+Task<> CloseConnections(net::NetStack& client, std::vector<net::NetStack::TcpConn*>& held) {
+  for (net::NetStack::TcpConn* conn : held) {
+    co_await client.TcpClose(*conn);
+    client.Release(conn);
+  }
+}
+
+std::size_t MallocInUse() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+// What one held keep-alive connection costs the host: a lifecycle client
+// stack and a lifecycle server stack with an HttpServer (the keepalive-100k
+// shape), 1,000 connections that each served one request and now idle.
+// Reports malloc's in-use bytes (allocator overhead included) and live
+// allocations per connection; the time is the ramp plus the close.
+void BM_HeldConnectionFootprint(benchmark::State& state) {
+  constexpr int kHeld = 1000;
+  apps::HttpResponse page;
+  page.body = apps::StaticIndexPage();
+  const std::size_t response_bytes = apps::RenderHttpResponse11(page, true).size();
+  double bytes_per_conn = 0;
+  double allocs_per_conn = 0;
+  for (auto _ : state) {
+    sim::Executor exec;
+    hw::Machine m(exec, hw::Amd2x2());
+    net::NetStack server(m, 3, kSrvIp, kSrvMac);
+    net::NetStack client(m, 0, kCliIp, kCliMac);
+    net::TcpLifecycle lc;
+    lc.enabled = true;
+    server.SetLifecycle(lc);
+    client.SetLifecycle(lc);
+    server.AddArp(kCliIp, kCliMac);
+    client.AddArp(kSrvIp, kSrvMac);
+    server.SetOutput([&client](net::Packet p) -> Task<> { co_await client.Input(std::move(p)); });
+    client.SetOutput([&server](net::Packet p) -> Task<> { co_await server.Input(std::move(p)); });
+    apps::HttpServer http(m, server, 80, nullptr, 8'000);
+    apps::HttpServer::KeepAlive ka;
+    ka.enabled = true;
+    ka.header_deadline = 1'500'000;
+    http.SetKeepAlive(ka);
+    std::vector<net::NetStack::TcpConn*> held;
+    held.reserve(kHeld);
+    exec.Spawn(http.Serve());
+    exec.Run();
+    const std::size_t bytes_before = MallocInUse();
+    const std::uint64_t live_before = g_alloc_count.load() - g_free_count.load();
+    exec.Spawn(HoldConnections(client, kHeld, response_bytes, held));
+    exec.Run();
+    bytes_per_conn = static_cast<double>(MallocInUse() - bytes_before) / kHeld;
+    allocs_per_conn =
+        static_cast<double>(g_alloc_count.load() - g_free_count.load() - live_before) / kHeld;
+    if (held.size() != static_cast<std::size_t>(kHeld)) {
+      state.SkipWithError("not every connection was held");
+      break;
+    }
+    exec.Spawn(CloseConnections(client, held));
+    exec.Run();
+  }
+  state.SetItemsProcessed(state.iterations() * kHeld);
+  state.counters["heap_bytes_per_conn"] = bytes_per_conn;
+  state.counters["live_allocs_per_conn"] = allocs_per_conn;
+}
+BENCHMARK(BM_HeldConnectionFootprint)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

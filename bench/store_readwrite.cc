@@ -202,10 +202,8 @@ Task<> OneRequest(sim::Executor& exec, net::NetStack& client, std::string target
     co_await client.TcpSend(*conn, "GET " + target + " HTTP/1.0\r\n\r\n");
     std::string resp;
     while (true) {
-      while (!conn->rx.empty()) {
-        resp.push_back(static_cast<char>(conn->rx.front()));
-        conn->rx.pop_front();
-      }
+      resp.append(conn->rx.begin(), conn->rx.end());
+      conn->rx.clear();
       if (conn->peer_closed && FullOkResponse(resp)) {
         ok = true;
         body = ResponseBody(resp);

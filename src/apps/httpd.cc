@@ -88,6 +88,9 @@ bool HttpRequestFramer::PopRequest(std::string* out) {
   }
   out->assign(buf_, 0, next_end_);
   buf_.erase(0, next_end_);
+  if (buf_.empty()) {
+    std::string().swap(buf_);  // an idle keep-alive connection holds no buffer
+  }
   scan_from_ = 0;
   Rescan(0);
   // A pipelined remainder must respect the cap on its own.
@@ -191,11 +194,11 @@ Task<HttpResponse> HttpServer::Handle(const HttpRequest& req) {
   co_return resp;
 }
 
+Task<> HttpServer::HandlerFor(net::NetStack::TcpConn* conn) {
+  return keep_.enabled ? ServeConnectionKeepAlive(conn) : ServeConnection(conn);
+}
+
 Task<> HttpServer::ServeConnection(net::NetStack::TcpConn* conn) {
-  if (keep_.enabled) {
-    co_await ServeConnectionKeepAlive(conn);
-    co_return;
-  }
   std::string request_text;
   while (true) {
     std::vector<std::uint8_t> chunk = co_await conn->Read();
@@ -230,13 +233,16 @@ Task<> HttpServer::ServeConnection(net::NetStack::TcpConn* conn) {
 }
 
 Task<> HttpServer::ServeConnectionKeepAlive(net::NetStack::TcpConn* conn) {
+  // This frame lives as long as the connection is held, so it keeps only
+  // what an idle connection needs. A request's parse, response and render
+  // live in ServeBurst's frame, the closing reply in FinishKeepAlive's.
   HttpRequestFramer framer;
   int served_on_conn = 0;
   Cycles request_start = 0;
-  bool open = true;
-  while (open) {
+  int final_status = 0;  // answered before the close: 0 = none, 400 or 408
+  while (true) {
     // Accumulate bytes until a complete request, a deadline, or a close.
-    while (!framer.HasRequest() && !framer.overflowed()) {
+    if (!framer.HasRequest() && !framer.overflowed()) {
       Cycles wait = 0;
       if (framer.buffered() == 0) {
         wait = keep_.idle_timeout;
@@ -257,7 +263,6 @@ Task<> HttpServer::ServeConnectionKeepAlive(net::NetStack::TcpConn* conn) {
           trace::Emit<trace::Category::kConn>(trace::EventId::kConnTimeout,
                                               machine_.exec().now(), stack_.core(),
                                               /*kind=*/1);
-          open = false;
           break;
         }
         // Slowloris: bytes trickled in but the request never completed
@@ -270,74 +275,86 @@ Task<> HttpServer::ServeConnectionKeepAlive(net::NetStack::TcpConn* conn) {
         trace::Emit<trace::Category::kConn>(trace::EventId::kConnTimeout,
                                             machine_.exec().now(), stack_.core(),
                                             /*kind=*/2);
-        HttpResponse resp;
-        resp.status = 408;
-        resp.body = "request timeout";
-        co_await stack_.TcpSend(*conn, RenderHttpResponse11(resp, false));
-        open = false;
+        final_status = 408;
         break;
       }
-      bool was_empty = framer.buffered() == 0;
-      std::vector<std::uint8_t> chunk = co_await conn->Read();
-      if (chunk.empty()) {
-        open = false;  // peer closed
-        break;
+      if (conn->rx.empty()) {
+        break;  // peer closed: WaitReadable returned with nothing buffered
       }
-      if (was_empty) {
+      if (framer.buffered() == 0) {
         request_start = machine_.exec().now();
       }
-      framer.Append(chunk.data(), chunk.size());
-    }
-    if (!open) {
-      break;
+      framer.Append(conn->rx.data(), conn->rx.size());
+      conn->rx.clear();
+      continue;
     }
     if (framer.overflowed()) {
       ++bad_requests_;
-      HttpResponse resp;
-      resp.status = 400;
-      resp.body = "bad request";
-      co_await stack_.TcpSend(*conn, RenderHttpResponse11(resp, false));
+      final_status = 400;
       break;
     }
-    // Serve the buffered burst of pipelined requests in order, bounded by
-    // max_pipeline per wakeup; depth beyond the bound closes the connection
-    // after serving the bounded prefix.
-    int burst = 0;
-    std::string text;
-    while (open && framer.PopRequest(&text)) {
-      bool last = false;
-      HttpRequest req;
-      HttpResponse resp;
-      if (!ParseHttpRequest(text, &req)) {
-        ++bad_requests_;
-        resp.status = 400;
-        resp.body = "bad request";
-        last = true;
-      } else {
-        resp = co_await Handle(req);
-      }
-      ++served_on_conn;
-      ++burst;
-      if (!last && keep_.max_requests > 0 && served_on_conn >= keep_.max_requests) {
-        ++budget_closes_;  // per-connection request budget exhausted
-        last = true;
-      }
-      if (!last && keep_.max_pipeline > 0 && burst >= keep_.max_pipeline &&
-          framer.HasRequest()) {
-        ++pipeline_closes_;
-        last = true;
-      }
-      if (ServingCoreHalted(machine_, stack_.core())) {
-        co_return;
-      }
-      co_await stack_.TcpSend(*conn, RenderHttpResponse11(resp, !last));
-      if (last) {
-        open = false;
-      }
+    BurstEnd end = co_await ServeBurst(conn, framer, served_on_conn);
+    if (end == BurstEnd::kHalted) {
+      co_return;  // fail-stop: no reply, no close, no release
     }
-    if (open && framer.buffered() > 0) {
+    if (end == BurstEnd::kClose) {
+      break;
+    }
+    if (framer.buffered() > 0) {
       request_start = machine_.exec().now();  // partial next request began now
     }
+  }
+  co_await FinishKeepAlive(conn, final_status);
+}
+
+Task<HttpServer::BurstEnd> HttpServer::ServeBurst(net::NetStack::TcpConn* conn,
+                                                  HttpRequestFramer& framer,
+                                                  int& served_on_conn) {
+  // Serve the buffered burst of pipelined requests in order, bounded by
+  // max_pipeline per wakeup; depth beyond the bound closes the connection
+  // after serving the bounded prefix.
+  int burst = 0;
+  std::string text;
+  while (framer.PopRequest(&text)) {
+    bool last = false;
+    HttpRequest req;
+    HttpResponse resp;
+    if (!ParseHttpRequest(text, &req)) {
+      ++bad_requests_;
+      resp.status = 400;
+      resp.body = "bad request";
+      last = true;
+    } else {
+      resp = co_await Handle(req);
+    }
+    ++served_on_conn;
+    ++burst;
+    if (!last && keep_.max_requests > 0 && served_on_conn >= keep_.max_requests) {
+      ++budget_closes_;  // per-connection request budget exhausted
+      last = true;
+    }
+    if (!last && keep_.max_pipeline > 0 && burst >= keep_.max_pipeline &&
+        framer.HasRequest()) {
+      ++pipeline_closes_;
+      last = true;
+    }
+    if (ServingCoreHalted(machine_, stack_.core())) {
+      co_return BurstEnd::kHalted;
+    }
+    co_await stack_.TcpSend(*conn, RenderHttpResponse11(resp, !last));
+    if (last) {
+      co_return BurstEnd::kClose;
+    }
+  }
+  co_return BurstEnd::kOpen;
+}
+
+Task<> HttpServer::FinishKeepAlive(net::NetStack::TcpConn* conn, int status) {
+  if (status != 0) {
+    HttpResponse resp;
+    resp.status = status;
+    resp.body = status == 408 ? "request timeout" : "bad request";
+    co_await stack_.TcpSend(*conn, RenderHttpResponse11(resp, false));
   }
   co_await stack_.TcpClose(*conn);
   stack_.Release(conn);
@@ -376,7 +393,7 @@ Task<> HttpServer::Worker() {
       co_await ShedConnection(conn);
       continue;
     }
-    co_await ServeConnection(conn);
+    co_await HandlerFor(conn);
   }
 }
 
@@ -388,7 +405,7 @@ Task<> HttpServer::Serve() {
   while (true) {
     net::NetStack::TcpConn* conn = co_await listener.Accept();
     if (admission_.workers == 0) {
-      machine_.exec().Spawn(ServeConnection(conn));  // legacy: unbounded
+      machine_.exec().Spawn(HandlerFor(conn));  // legacy: unbounded
       continue;
     }
     if (ServingCoreHalted(machine_, stack_.core())) {

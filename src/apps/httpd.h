@@ -151,8 +151,27 @@ class HttpServer {
   std::uint64_t bad_requests() const { return bad_requests_; }
 
  private:
+  // The handler task for an accepted connection. Not a coroutine itself, so
+  // it adds no frame of its own: Serve() spawns and Worker() awaits the
+  // handler directly.
+  Task<> HandlerFor(net::NetStack::TcpConn* conn);
+  // HTTP/1.0: one request, one response, close.
   Task<> ServeConnection(net::NetStack::TcpConn* conn);
+  // HTTP/1.1 keep-alive. Its frame is what a held idle connection costs; the
+  // per-request state lives in the two callees below and exists only while
+  // they run.
   Task<> ServeConnectionKeepAlive(net::NetStack::TcpConn* conn);
+  // How a burst of pipelined requests ended.
+  enum class BurstEnd : std::uint8_t {
+    kOpen,    // every complete request answered; keep the connection
+    kClose,   // the last answer said "close" (bad request, budget, pipeline)
+    kHalted,  // the serving core halted: fail-stop, no reply and no close
+  };
+  // Pops and answers the complete requests buffered in `framer`.
+  Task<BurstEnd> ServeBurst(net::NetStack::TcpConn* conn, HttpRequestFramer& framer,
+                            int& served_on_conn);
+  // Answers `status` (400 or 408; 0 = no reply), then closes and releases.
+  Task<> FinishKeepAlive(net::NetStack::TcpConn* conn, int status);
   // Answers 503 and closes; the cheap path that keeps shedding graceful.
   Task<> ShedConnection(net::NetStack::TcpConn* conn);
   // Admission-queue drainer; `workers` of these run when the policy is on.

@@ -717,10 +717,7 @@ Task<> NetStack::HandleTcp(const ParsedFrame& f, const Packet& frame) {
   }
   bool advanced = false;
   if (f.payload_len > 0 && tcp.seq == c.rcv_nxt) {
-    c.rx.insert(c.rx.end(),
-                frame.begin() + static_cast<std::ptrdiff_t>(f.payload_offset),
-                frame.begin() + static_cast<std::ptrdiff_t>(f.payload_offset +
-                                                            f.payload_len));
+    c.rx.append(frame.data() + f.payload_offset, f.payload_len);
     c.rcv_nxt += static_cast<std::uint32_t>(f.payload_len);
     advanced = true;
   }
@@ -856,10 +853,7 @@ Task<> NetStack::HandleTcpLifecycle(const ParsedFrame& f, const Packet& frame,
   }
   bool advanced = false;
   if (f.payload_len > 0 && tcp.seq == c.rcv_nxt) {
-    c.rx.insert(c.rx.end(),
-                frame.begin() + static_cast<std::ptrdiff_t>(f.payload_offset),
-                frame.begin() + static_cast<std::ptrdiff_t>(f.payload_offset +
-                                                            f.payload_len));
+    c.rx.append(frame.data() + f.payload_offset, f.payload_len);
     c.rcv_nxt += static_cast<std::uint32_t>(f.payload_len);
     advanced = true;
   }

@@ -39,6 +39,7 @@
 
 #include "hw/machine.h"
 #include "net/conn_table.h"
+#include "net/fifo.h"
 #include "net/timer_wheel.h"
 #include "net/wire.h"
 #include "recover/config.h"
@@ -174,7 +175,8 @@ class NetStack {
     Task<std::vector<std::uint8_t>> Read();
     bool established = false;
     bool peer_closed = false;
-    std::deque<std::uint8_t> rx;
+    // Received in-order bytes not yet read; owns no heap while empty.
+    Fifo<std::uint8_t> rx;
     sim::Event readable;
     sim::Event closed_ev;
     // Identity.
@@ -196,7 +198,8 @@ class NetStack {
       TcpFlags flags;
       std::vector<std::uint8_t> data;
     };
-    std::deque<SentSeg> unacked;
+    // Owns no heap while empty: the SYN's slot is freed once it is acked.
+    Fifo<SentSeg> unacked;
     int dup_acks = 0;
     bool retx_timer_running = false;  // legacy coroutine timer
     // Set when a bounded TcpConnect gave up on the handshake. Late segments

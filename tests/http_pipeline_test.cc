@@ -1,7 +1,8 @@
 // Tests for HTTP/1.1 keep-alive pipelining: the HttpRequestFramer's
 // chunking-identity contract (the popped request sequence depends only on
 // the concatenated byte stream, never on segment boundaries), pipelined
-// back-to-back requests, and the end-to-end 400-on-oversized path.
+// back-to-back requests, the end-to-end 400-on-oversized path, and the
+// fail-stop path of a serving core that halts mid-request.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/httpd.h"
+#include "fault/fault.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
 #include "net/stack.h"
@@ -202,6 +204,50 @@ TEST(HttpKeepAliveEndToEnd, OversizedRequestGets400AndClose) {
   EXPECT_EQ(reply.rfind("HTTP/1.1 400", 0), 0u);
   EXPECT_EQ(f.server.requests_served(), 0u);
   EXPECT_EQ(f.server.bad_requests(), 1u);
+}
+
+TEST(HttpKeepAliveEndToEnd, CoreHaltInsideHandleSendsNoReplyNoFinAndNoRelease) {
+  // The server core (0) halts while the request is inside Handle, whose
+  // 60k-cycle compute starts a few thousand cycles after the send. The
+  // handler must die with its core: no response, no FIN, no Release.
+  constexpr Cycles kSendAt = 1'000'000;
+  constexpr Cycles kHaltAt = kSendAt + 30'000;
+  fault::FaultPlan plan;
+  plan.HaltCore(0, kHaltAt);
+  struct ScopedInjector {
+    explicit ScopedInjector(const fault::FaultPlan& p) : inj(p) { inj.Install(); }
+    ~ScopedInjector() { inj.Uninstall(); }
+    fault::Injector inj;
+  } injector(plan);
+  KeepAliveFixture f;
+  net::NetStack::TcpConn* conn = nullptr;
+  std::string reply;
+  f.exec.Spawn([](sim::Executor& exec, net::NetStack& stack, net::NetStack::TcpConn*& c,
+                  std::string& out) -> Task<> {
+    c = co_await stack.TcpConnect(kSrvIp, 80, 500'000);
+    if (c == nullptr) {
+      co_return;
+    }
+    co_await exec.Delay(kSendAt - exec.now());
+    co_await stack.TcpSend(*c, "GET /index.html HTTP/1.1\r\n\r\n");
+    while (co_await stack.WaitReadable(*c, 3'000'000) && !c->rx.empty()) {
+      out.append(c->rx.begin(), c->rx.end());
+      c->rx.clear();
+    }
+  }(f.exec, f.client_stack, conn, reply));
+  f.exec.Run();
+
+  ASSERT_NE(conn, nullptr);
+  EXPECT_EQ(f.server.requests_served(), 1u);  // the request reached Handle
+  EXPECT_EQ(reply, "");                       // ...and was never answered
+  EXPECT_FALSE(conn->peer_closed);            // no FIN
+  net::NetStack::TcpConn* server_conn =
+      f.server_stack.conn_table().Find(net::ConnKey(kCliIp, conn->local_port, 80));
+  ASSERT_NE(server_conn, nullptr);
+  EXPECT_EQ(server_conn->state, net::TcpState::kEstablished);
+  EXPECT_FALSE(server_conn->fin_sent);
+  EXPECT_FALSE(server_conn->app_released);
+  EXPECT_EQ(f.server_stack.established_count(), 1);
 }
 
 }  // namespace

@@ -398,6 +398,12 @@ struct UrpcLatencyCase {
   Cycles paper_latency;  // Table 2
 };
 
+// Names each case by its contents; gtest's default byte dump would include the
+// string pointer, so the test names would change from build to build.
+void PrintTo(const UrpcLatencyCase& c, std::ostream* os) {
+  *os << c.platform << " " << c.sender << "-" << c.receiver << " " << c.paper_latency;
+}
+
 class CoherenceCalibration : public ::testing::TestWithParam<UrpcLatencyCase> {};
 
 TEST_P(CoherenceCalibration, TwoTransactionsApproximateTable2) {

@@ -52,6 +52,10 @@ struct LrpcCase {
   Cycles paper;
 };
 
+// Names each case by its contents; gtest's default byte dump would include the
+// string pointer, so the test names would change from build to build.
+void PrintTo(const LrpcCase& c, std::ostream* os) { *os << c.platform << " " << c.paper; }
+
 class LrpcCalibration : public ::testing::TestWithParam<LrpcCase> {};
 
 TEST_P(LrpcCalibration, MatchesTable1) {

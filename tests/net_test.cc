@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "baseline/shared_netstack.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
+#include "net/fifo.h"
 #include "net/nic.h"
 #include "net/packet_channel.h"
 #include "net/stack.h"
@@ -362,6 +364,123 @@ TEST(Stack, TcpSegmentsLargePayloadsByMss) {
   EXPECT_EQ(total, 5000u);
   // 5000 bytes over a 1460-byte MSS: at least 4 data segments + handshake.
   EXPECT_GE(f.a.frames_out(), 5u);
+}
+
+// --- Fifo: the receive-byte and unacked-segment queues of a TcpConn ---
+
+std::string Contents(const Fifo<std::uint8_t>& q) { return std::string(q.begin(), q.end()); }
+
+void Append(Fifo<std::uint8_t>& q, const std::string& s) {
+  q.append(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+}
+
+TEST(Fifo, ByteQueueKeepsFifoOrderAcrossAppendPopAndClear) {
+  Fifo<std::uint8_t> q;
+  Append(q, "abc");
+  EXPECT_EQ(q.front(), 'a');
+  q.pop_front();
+  Append(q, "de");
+  EXPECT_EQ(Contents(q), "bcde");
+  EXPECT_EQ(q.size(), 4u);
+  q.pop_front();
+  q.pop_front();
+  EXPECT_EQ(q.front(), 'd');
+  EXPECT_EQ(std::string(q.data(), q.data() + q.size()), "de");
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  Append(q, "xy");
+  EXPECT_EQ(Contents(q), "xy");
+
+  // TcpConn::Read() hands over everything buffered, in order, and empties rx.
+  sim::Executor exec;
+  NetStack::TcpConn conn(exec);
+  Append(conn.rx, "hello ");
+  conn.rx.pop_front();
+  Append(conn.rx, "world");
+  std::string got;
+  exec.Spawn([](NetStack::TcpConn& c, std::string& out) -> Task<> {
+    std::vector<std::uint8_t> bytes = co_await c.Read();
+    out.assign(bytes.begin(), bytes.end());
+  }(conn, got));
+  exec.Run();
+  EXPECT_EQ(got, "ello world");
+  EXPECT_TRUE(conn.rx.empty());
+}
+
+TEST(Fifo, EmptyQueueOwnsNoStorage) {
+  sim::Executor exec;
+  NetStack::TcpConn conn(exec);
+  EXPECT_EQ(conn.rx.capacity(), 0u);
+  EXPECT_EQ(conn.unacked.capacity(), 0u);
+  EXPECT_EQ(conn.rx.data(), nullptr);
+  conn.rx.clear();
+  conn.unacked.clear();
+  EXPECT_EQ(conn.rx.capacity(), 0u);
+  EXPECT_EQ(conn.unacked.capacity(), 0u);
+}
+
+TEST(Fifo, StorageIsReleasedOnDrainAndReclaimedWhileBusy) {
+  Fifo<std::uint8_t> q;
+  Append(q, std::string(100, 'z'));
+  EXPECT_GE(q.capacity(), 100u);
+  for (int i = 0; i < 100; ++i) {
+    q.pop_front();
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), 0u);  // a full drain by pops frees the storage
+  Append(q, "abc");
+  q.clear();
+  EXPECT_EQ(q.capacity(), 0u);  // so does clear()
+  // A queue that never drains reuses its popped prefix instead of growing.
+  Fifo<int> busy;
+  busy.push_back(0);
+  for (int i = 1; i <= 10000; ++i) {
+    busy.push_back(i);
+    EXPECT_EQ(busy.front(), i - 1);
+    busy.pop_front();
+  }
+  EXPECT_EQ(busy.size(), 1u);
+  EXPECT_EQ(busy.front(), 10000);
+  EXPECT_LE(busy.capacity(), 4u);
+}
+
+TEST(Stack, PipelinedMultiSegmentFillDrainsByteForByte) {
+  StackPair f;
+  auto& listener = f.b.TcpListen(80);
+  constexpr std::size_t kBytes = 5000;  // four MSS-sized segments back to back
+  std::vector<std::uint8_t> sent(kBytes);
+  for (std::size_t i = 0; i < kBytes; ++i) {
+    sent[i] = static_cast<std::uint8_t>(i * 7 % 251);
+  }
+  std::vector<std::uint8_t> drained;
+  NetStack::TcpConn* server_conn = nullptr;
+  NetStack::TcpConn* client_conn = nullptr;
+  f.exec.Spawn([](NetStack::Listener& l, NetStack::TcpConn*& conn,
+                  std::vector<std::uint8_t>& out) -> Task<> {
+    conn = co_await l.Accept();
+    // Let every segment land before reading: rx holds the whole fill.
+    while (conn->rx.size() < kBytes) {
+      co_await conn->readable.Wait();
+    }
+    while (!conn->rx.empty()) {
+      out.push_back(conn->rx.front());
+      conn->rx.pop_front();
+    }
+  }(listener, server_conn, drained));
+  f.exec.Spawn([](NetStack& stack, NetStack::TcpConn*& conn,
+                  const std::vector<std::uint8_t>& data) -> Task<> {
+    conn = co_await stack.TcpConnect(kIpB, 80);
+    co_await stack.TcpSend(*conn, data.data(), data.size());
+  }(f.a, client_conn, sent));
+  f.exec.Run();
+  EXPECT_EQ(drained, sent);
+  ASSERT_NE(server_conn, nullptr);
+  ASSERT_NE(client_conn, nullptr);
+  EXPECT_EQ(server_conn->rx.capacity(), 0u);
+  // Every segment, the SYN and SYN-ACK included, was acked: neither side
+  // keeps unacked storage.
+  EXPECT_EQ(client_conn->unacked.capacity(), 0u);
+  EXPECT_EQ(server_conn->unacked.capacity(), 0u);
 }
 
 // --- Multi-queue NIC: RSS steering, per-queue rings/IRQs/counters ---
