@@ -13,6 +13,12 @@
 # BUILD_DIR selects the build tree (default: build). Binaries must already be
 # built; this script never compiles.
 #
+# Each RUNS entry is "<golden>:<bench> [args...]": the golden file
+# bench/golden/<golden>.txt pins the stdout of `<bench> [args...]`. A bare
+# bench name is shorthand for "<bench>:<bench>" (no arguments). The faulted
+# runs (directed kills, chaos seeds) are pinned this way so a change to the
+# retry, recovery or re-steer code cannot drift unseen.
+#
 # THREADS=<n> appends --threads=<n> to every bench invocation. The goldens
 # are recorded at one host thread; re-running the gate with THREADS=4 proves
 # the parallel engine's promise that host thread count never changes a
@@ -27,7 +33,7 @@ if [[ "$THREADS" != "1" ]]; then
   extra_args+=("--threads=$THREADS")
 fi
 
-BENCHES=(
+RUNS=(
   table1_lrpc
   table2_urpc
   table3_ipc
@@ -47,6 +53,13 @@ BENCHES=(
   polling_model
   ablation_urpc
   conn_scale
+  "sec54_failover.quick-kill:sec54_failover --quick --kill"
+  "sec54_failover.quick-kill-db:sec54_failover --quick --kill-db"
+  "sec54_failover.quick-chaos-seed-1:sec54_failover --quick --chaos-seed=1"
+  "store_readwrite.quick-kill-leader:store_readwrite --quick --kill-leader"
+  "store_readwrite.quick-chaos-seed-3:store_readwrite --quick --chaos-seed=3"
+  "rack_serving.quick-kill:rack_serving --quick --kill"
+  "rack_serving.quick-chaos-seed-7:rack_serving --quick --chaos-seed=7"
 )
 
 update=0
@@ -56,8 +69,16 @@ if [[ "${1:-}" == "--update" ]]; then
 fi
 
 fail=0
-for b in "${BENCHES[@]}"; do
-  bin="$BUILD_DIR/bench/$b"
+for run in "${RUNS[@]}"; do
+  if [[ "$run" == *:* ]]; then
+    g="${run%%:*}"
+    read -r -a cmd <<< "${run#*:}"
+  else
+    g="$run"
+    cmd=("$run")
+  fi
+  bin="$BUILD_DIR/bench/${cmd[0]}"
+  args=("${cmd[@]:1}")
   if [[ ! -x "$bin" ]]; then
     echo "check_golden: missing binary $bin (build first)" >&2
     exit 2
@@ -67,20 +88,21 @@ for b in "${BENCHES[@]}"; do
       echo "check_golden: refusing --update with THREADS=$THREADS (goldens are recorded at 1 thread)" >&2
       exit 2
     fi
-    "$bin" > "$GOLDEN_DIR/$b.txt"
-    echo "updated: $b"
+    "$bin" ${args[@]+"${args[@]}"} > "$GOLDEN_DIR/$g.txt"
+    echo "updated: $g"
     continue
   fi
-  if [[ ! -f "$GOLDEN_DIR/$b.txt" ]]; then
-    echo "GOLDEN MISSING: $GOLDEN_DIR/$b.txt (run with --update)" >&2
+  if [[ ! -f "$GOLDEN_DIR/$g.txt" ]]; then
+    echo "GOLDEN MISSING: $GOLDEN_DIR/$g.txt (run with --update)" >&2
     fail=1
     continue
   fi
-  if diff -u "$GOLDEN_DIR/$b.txt" <("$bin" ${extra_args[@]+"${extra_args[@]}"}) > /tmp/golden_diff_$b; then
-    echo "ok: $b"
+  if diff -u "$GOLDEN_DIR/$g.txt" \
+      <("$bin" ${args[@]+"${args[@]}"} ${extra_args[@]+"${extra_args[@]}"}) > /tmp/golden_diff_$g; then
+    echo "ok: $g"
   else
-    echo "GOLDEN MISMATCH: $b" >&2
-    cat /tmp/golden_diff_$b >&2
+    echo "GOLDEN MISMATCH: $g" >&2
+    cat /tmp/golden_diff_$g >&2
     fail=1
   fi
 done
