@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "net/stack.h"
 #include "trace/export.h"
 #include "trace/trace.h"
 
@@ -85,6 +86,21 @@ inline int ParseThreadsFlag(int& argc, char** argv, int def = 1) {
   return threads;
 }
 
+// Matches `name` alone or `name=<int>` (the optional-argument flags of the
+// serving benches, e.g. --kill[=K]): sets *on, and *value when one is given.
+inline bool MatchOptionalIntFlag(const char* arg, const char* name, bool* on,
+                                 int* value) {
+  const std::size_t n = std::strlen(name);
+  if (std::strncmp(arg, name, n) != 0 || (arg[n] != '\0' && arg[n] != '=')) {
+    return false;
+  }
+  *on = true;
+  if (arg[n] == '=') {
+    *value = std::atoi(arg + n + 1);
+  }
+  return true;
+}
+
 // Consumes --machines=<n> from argv (compacting it): the rack-topology size,
 // parsed uniformly across benches. For rack benches (rack_serving) this is
 // the number of backend machines; par_speedup treats it as an alias for
@@ -154,6 +170,17 @@ class TraceSession {
   std::string path_;
   std::unique_ptr<trace::Tracer> tracer_;
 };
+
+// An external load generator's stack (httperf boxes on the other end of the
+// wire): it costs nothing on the simulated machine, so the server side pays
+// full freight for every frame.
+inline net::StackCosts FreeCosts() {
+  net::StackCosts c;
+  c.per_packet_in = 0;
+  c.per_packet_out = 0;
+  c.per_byte_checksum = 0;
+  return c;
+}
 
 inline void PrintHeader(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());

@@ -32,42 +32,27 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "apps/db.h"
-#include "apps/httpd.h"
 #include "apps/store.h"
 #include "bench_util.h"
 #include "fault/fault.h"
 #include "fs/ramfs.h"
 #include "fs/wal.h"
-#include "hw/machine.h"
 #include "hw/platform.h"
-#include "kernel/cpu_driver.h"
-#include "monitor/monitor.h"
-#include "net/nic.h"
-#include "net/stack.h"
-#include "recover/config.h"
 #include "recover/recover.h"
-#include "sim/executor.h"
+#include "serving_harness.h"
 #include "sim/random.h"
-#include "skb/skb.h"
 
 namespace mk {
 namespace {
 
-using kernel::CpuDriver;
-using net::Packet;
 using sim::Cycles;
 using sim::Task;
 
-constexpr net::Ipv4Addr kServerIp = net::MakeIp(10, 0, 0, 1);
-constexpr net::Ipv4Addr kClientIp = net::MakeIp(10, 0, 0, 77);
-const net::MacAddr kServerMac{2, 0, 0, 0, 0, 1};
-const net::MacAddr kClientMac{2, 0, 0, 0, 0, 77};
-
-constexpr Cycles kDriverFrameCost = 1400;
 // Smaller catalog than sec54 (8k items, ~200k-cycle browse scan) so the
 // leader core has headroom for the write path on top of the read mix.
 constexpr int kDbItems = 8000;
@@ -99,241 +84,9 @@ struct ExtraFaults {
 // follower must absorb the backlog the outage queued.
 struct Mix {
   Cycles interval_per_shard = 400'000;
-  Cycles attempt_timeout = 8'000'000;
-  Cycles request_deadline = 30'000'000;
+  bench::RequestTiming timing{/*attempt_timeout=*/8'000'000,
+                              /*request_deadline=*/30'000'000};
 };
-
-net::StackCosts FreeCosts() {
-  net::StackCosts c;
-  c.per_packet_in = 0;
-  c.per_packet_out = 0;
-  c.per_byte_checksum = 0;
-  return c;
-}
-
-struct System {
-  explicit System(const hw::PlatformSpec& spec)
-      : machine(exec, spec), drivers(CpuDriver::BootAll(machine)), skb(machine),
-        sys(machine, skb, drivers) {
-    skb.PopulateFromHardware();
-    exec.Spawn(skb.MeasureUrpcLatencies());
-    exec.Run();
-    sys.Boot();
-  }
-  sim::Executor exec;
-  hw::Machine machine;
-  std::vector<std::unique_ptr<CpuDriver>> drivers;
-  skb::Skb skb;
-  monitor::MonitorSystem sys;
-};
-
-struct LoadStats {
-  explicit LoadStats(sim::Executor& exec, int shards)
-      : acked_per_shard(static_cast<std::size_t>(shards), 0),
-        buys_per_shard(static_cast<std::size_t>(shards), 0), all_done(exec) {}
-  int launched = 0;
-  int completed = 0;
-  int shed = 0;
-  int retries = 0;
-  int buys_launched = 0;
-  int buys_acked = 0;   // body was "ok <lsn>" or "dup"
-  int buys_errored = 0; // HTTP 200 but the store reported an error
-  std::vector<int> acked_per_shard;
-  std::vector<int> buys_per_shard;
-  int outstanding = 0;
-  bool launching_done = false;
-  bool finished = false;
-  std::vector<Cycles> latencies;
-  std::vector<Cycles> completions;
-  sim::Event all_done;
-};
-
-bool FullOkResponse(const std::string& resp) {
-  if (resp.rfind("HTTP/1.0 200", 0) != 0) {
-    return false;
-  }
-  const std::size_t hdr_end = resp.find("\r\n\r\n");
-  if (hdr_end == std::string::npos) {
-    return false;
-  }
-  const std::size_t cl = resp.find("Content-Length: ");
-  if (cl == std::string::npos || cl > hdr_end) {
-    return false;
-  }
-  const std::size_t len = std::strtoul(resp.c_str() + cl + 16, nullptr, 10);
-  return resp.size() - (hdr_end + 4) >= len;
-}
-
-std::string ResponseBody(const std::string& resp) {
-  const std::size_t hdr_end = resp.find("\r\n\r\n");
-  return hdr_end == std::string::npos ? std::string() : resp.substr(hdr_end + 4);
-}
-
-// One HTTP request, open loop, client-side retry on RST/timeout/truncation.
-// A retried buy re-sends the same URL — the same wid — which is what makes
-// the end-to-end path exactly-once: the store answers "dup" for a write that
-// committed before its ack was lost.
-Task<> OneRequest(sim::Executor& exec, net::NetStack& client, std::string target,
-                  bool is_buy, int owner_shard, const Mix& mix, LoadStats& st) {
-  const Cycles start = exec.now();
-  const Cycles deadline = start + mix.request_deadline;
-  ++st.outstanding;
-  bool ok = false;
-  std::string body;
-  bool first_attempt = true;
-  Cycles backoff = 100'000;
-  while (!ok && exec.now() < deadline) {
-    if (!first_attempt) {
-      ++st.retries;
-      co_await exec.Delay(std::min(backoff, deadline - exec.now()));
-      backoff = std::min<Cycles>(backoff * 2, 400'000);
-      if (exec.now() >= deadline) {
-        break;
-      }
-    }
-    first_attempt = false;
-    const Cycles attempt_deadline =
-        std::min(deadline, exec.now() + mix.attempt_timeout);
-    net::NetStack::TcpConn* conn =
-        co_await client.TcpConnect(kServerIp, 80, attempt_deadline - exec.now());
-    if (conn == nullptr) {
-      continue;
-    }
-    co_await client.TcpSend(*conn, "GET " + target + " HTTP/1.0\r\n\r\n");
-    std::string resp;
-    while (true) {
-      resp.append(conn->rx.begin(), conn->rx.end());
-      conn->rx.clear();
-      if (conn->peer_closed && FullOkResponse(resp)) {
-        ok = true;
-        body = ResponseBody(resp);
-        break;
-      }
-      if (conn->peer_closed) {
-        break;  // RST, shed, or truncation: retry
-      }
-      const Cycles now = exec.now();
-      if (now >= attempt_deadline) {
-        break;
-      }
-      co_await conn->readable.WaitTimeout(attempt_deadline - now);
-    }
-    co_await client.TcpClose(*conn);
-  }
-  if (ok) {
-    ++st.completed;
-    st.latencies.push_back(exec.now() - start);
-    st.completions.push_back(exec.now());
-    if (is_buy) {
-      if (body.rfind("ok ", 0) == 0 || body == "dup") {
-        ++st.buys_acked;
-        ++st.acked_per_shard[static_cast<std::size_t>(owner_shard)];
-      } else {
-        ++st.buys_errored;
-      }
-    }
-  } else {
-    ++st.shed;
-  }
-  --st.outstanding;
-  if (st.launching_done && st.outstanding == 0) {
-    st.finished = true;
-    st.all_done.Signal();
-  }
-}
-
-Task<> Generator(sim::Executor& exec, net::NetStack& client, int total,
-                 Cycles interval, int shards, const Mix& mix, LoadStats& st,
-                 std::uint64_t seed) {
-  sim::Rng prng(seed);
-  std::uint64_t next_wid = 0;
-  for (int i = 0; i < total; ++i) {
-    const bool buy = prng.Below(5) == 0;  // 20% buys
-    std::string target;
-    int owner = -1;
-    if (buy) {
-      const std::uint64_t wid = ++next_wid;
-      const int item = static_cast<int>(prng.Below(kDbItems));
-      const int qty = 1 + static_cast<int>(prng.Below(5));
-      owner = static_cast<int>(wid % static_cast<std::uint64_t>(shards));
-      std::string sql = "INSERT INTO orders VALUES (" + std::to_string(wid) +
-                        ", " + std::to_string(item) + ", " + std::to_string(qty) +
-                        ")";
-      for (char& ch : sql) {
-        if (ch == ' ') {
-          ch = '+';
-        }
-      }
-      target = "/buy?wid=" + std::to_string(wid) + "&sql=" + sql;
-      ++st.buys_launched;
-      ++st.buys_per_shard[static_cast<std::size_t>(owner)];
-    } else {
-      std::string sql = apps::TpcwQuery(static_cast<int>(prng.Below(kDbItems)));
-      for (char& ch : sql) {
-        if (ch == ' ') {
-          ch = '+';
-        }
-      }
-      target = "/query?sql=" + sql;
-    }
-    ++st.launched;
-    exec.Spawn(OneRequest(exec, client, std::move(target), buy, owner, mix, st));
-    co_await exec.Delay(interval);
-  }
-  st.launching_done = true;
-  if (st.outstanding == 0) {
-    st.finished = true;
-    st.all_done.Signal();
-  }
-}
-
-Task<> ShardDriver(hw::Machine& m, net::SimNic& nic, net::NetStack& stack,
-                   int queue, int core, const bool* stop) {
-  while (!*stop) {
-    if (fault::Injector* inj = fault::Injector::active();
-        inj != nullptr && inj->CoreHalted(core, m.exec().now())) {
-      co_return;
-    }
-    if (nic.RxReady(queue)) {
-      nic.SetInterruptsEnabled(queue, false);
-      auto frame = co_await nic.DriverRxPop(core, queue);
-      if (frame) {
-        co_await m.Compute(core, kDriverFrameCost);
-        co_await stack.Input(std::move(*frame));
-      }
-      continue;
-    }
-    nic.SetInterruptsEnabled(queue, true);
-    if (!nic.RxReady(queue)) {
-      if (co_await nic.rx_irq(queue).WaitTimeout(20000) && !*stop) {
-        co_await m.Trap(core);
-      }
-    }
-  }
-}
-
-Task<> WireSink(net::SimNic& nic, net::NetStack& client, const bool* stop) {
-  while (!*stop) {
-    Packet p;
-    while (nic.WirePop(&p)) {
-      co_await client.Input(std::move(p));
-    }
-    if (!*stop) {
-      co_await nic.wire_out_ready().Wait();
-    }
-  }
-}
-
-Task<> Supervisor(monitor::MonitorSystem& sys, net::SimNic& nic, LoadStats& st,
-                  bool* stop, apps::ReplicatedStore& store) {
-  while (!st.finished) {
-    co_await st.all_done.Wait();
-  }
-  *stop = true;
-  nic.wire_out_ready().Signal();
-  co_await store.Shutdown();
-  sys.Shutdown();
-}
 
 struct ShardLedger {
   std::uint64_t leader_rows = 0;
@@ -343,22 +96,12 @@ struct ShardLedger {
   bool replicas_agree = true;  // rows and wid sets equal on live caught-up replicas
 };
 
-struct RunOutput {
+struct RunOutput : bench::RunTotals {  // completions are offsets from t0
   Cycles t0 = 0;
-  Cycles final_now = 0;
-  std::uint64_t events = 0;
-  int launched = 0;
-  int completed = 0;
-  int shed = 0;
-  int retries = 0;
   int buys_launched = 0;
-  int buys_acked = 0;
-  int buys_errored = 0;
-  std::vector<Cycles> latencies;
-  std::vector<Cycles> completions;  // offsets from t0
+  int buys_acked = 0;    // body was "ok <lsn>" or "dup"
+  int buys_errored = 0;  // HTTP 200 but the store reported an error
   std::vector<ShardLedger> ledger;
-  std::uint64_t view_changes = 0;
-  std::uint64_t epoch = 1;
   Cycles first_view_change_at = 0;
   std::uint64_t promotions = 0;
   std::uint64_t respawns = 0;
@@ -371,31 +114,58 @@ struct RunOutput {
   std::uint64_t wal_redeliveries = 0;
   bool fs_consistent = true;
   bool monitors_quiesced = true;
-  bool specs_activated = true;
 };
+
+// The browse-buy mix: 20% buys, each with a fresh client write id routed to
+// its partition (wid % shards); the rest TPC-W item-detail browses. A retried
+// buy re-sends the same URL — the same wid — which is what makes the
+// end-to-end path exactly-once: the store answers "dup" for a write that
+// committed before its ack was lost.
+bench::RequestPlan NextRequest(sim::Rng& prng, std::uint64_t& next_wid,
+                               RunOutput& out) {
+  if (prng.Below(5) != 0) {
+    return bench::TpcwBrowse(prng, kDbItems);
+  }
+  const std::uint64_t wid = ++next_wid;
+  const int item = static_cast<int>(prng.Below(kDbItems));
+  const int qty = 1 + static_cast<int>(prng.Below(5));
+  ShardLedger& owner = out.ledger[wid % out.ledger.size()];
+  ++out.buys_launched;
+  ++owner.buys;
+  return {"/buy?wid=" + std::to_string(wid) + "&sql=" +
+              bench::UrlSql("INSERT INTO orders VALUES (" + std::to_string(wid) +
+                            ", " + std::to_string(item) + ", " +
+                            std::to_string(qty) + ")"),
+          [&out, &owner](const bench::RequestOutcome& r) {
+            if (!r.ok) {
+              return;
+            }
+            if (r.body.rfind("ok ", 0) == 0 || r.body == "dup") {
+              ++out.buys_acked;
+              ++owner.acked;
+            } else {
+              ++out.buys_errored;
+            }
+          }};
+}
 
 RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
                      const std::vector<Kill>& kills, const ExtraFaults* extra,
                      int requests_per_shard, bool print_activations) {
-  recover::RecoveryConfig rcfg;
-  // Same post-kill congestion rationale as sec54_failover: the RTO must sit
-  // above a loaded survivor's frame-to-ACK latency, and the backoff must not
-  // idle for hundreds of M cycles after the workload drains.
-  rcfg.tcp_rto = 1'000'000;
-  rcfg.tcp_max_retx = 4;
-  recover::ScopedRecoveryConfig scoped_rcfg(rcfg);
-  System s(spec);
+  recover::ScopedRecoveryConfig scoped_rcfg(bench::FailoverTcpConfig());
+  bench::System s(spec);
   sim::Executor& exec = s.exec;
   hw::Machine& m = s.machine;
-  const int client_core = spec.num_cores() - 1;
 
   // Shard i: web core 4i fronts it, replicas on 4i+1 (boot leader) and 4i+2
   // (follower), spare 4i+3 for respawn. The web core doubles as the shard's
   // WAL sequencer — PickPath pins it there — so the log's ordering authority
   // survives every replica kill by construction.
   std::vector<apps::StorePlacement> placements;
+  std::vector<int> web_cores;
   for (int i = 0; i < shards; ++i) {
     placements.push_back({4 * i, {4 * i + 1, 4 * i + 2}, 4 * i + 3});
+    web_cores.push_back(4 * i);
   }
 
   fs::ReplicatedFs fs(s.sys);
@@ -433,92 +203,50 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
     exec.Spawn(s.sys.HeartbeatLoop());
   }
 
-  net::SimNic::Config cfg;
-  cfg.rx_descs = 4096;
-  cfg.tx_descs = 4096;
-  cfg.gbps = 10.0;
-  cfg.queues = shards;
-  cfg.reta_slots = 16 * shards;
-  cfg.irq_latency = spec.cost.ipi_wire;
-  for (const auto& p : placements) {
-    cfg.irq_cores.push_back(p.web_core);
-  }
-  net::SimNic nic(m, cfg);
-
-  net::NetStack client(m, client_core, kClientIp, kClientMac, FreeCosts());
-  client.AddArp(kServerIp, kServerMac);
-  client.SetOutput(
-      [&nic](Packet p) -> Task<> { co_await nic.InjectFromWire(std::move(p)); });
-
-  bool stop = false;
-  std::vector<std::unique_ptr<net::NetStack>> stacks;
-  std::vector<std::unique_ptr<apps::HttpServer>> servers;
-  for (int i = 0; i < shards; ++i) {
-    const int core = placements[static_cast<std::size_t>(i)].web_core;
-    auto stack = std::make_unique<net::NetStack>(m, core, kServerIp, kServerMac);
-    stack->AddArp(kClientIp, kClientMac);
-    stack->SetOutput([&m, &nic, core, i](Packet p) -> Task<> {
-      co_await m.Compute(core, kDriverFrameCost);
-      co_await nic.DriverTxPush(core, std::move(p), i);
-    });
-    // Browse: leader-local read on this web core's own shard. Buy: routed by
-    // wid to its partition's group — the owner web core's channels carry it,
-    // standing in for an intra-fleet forward to the partition home.
-    apps::ReplicatedStore* st = &store;
-    auto query_fn = [st, i](std::string sql) -> Task<std::string> {
+  // Browse: leader-local read on this web core's own shard. Buy: routed by
+  // wid to its partition's group — the owner web core's channels carry it,
+  // standing in for an intra-fleet forward to the partition home.
+  bench::ShardedFrontEnd fe(m, web_cores, bench::FrontEndSizing::kFailover);
+  fe.Start([st = &store, shards](int i) {
+    bench::ShardDb db;
+    db.query = [st, i](std::string sql) -> Task<std::string> {
       co_return co_await st->Query(i, std::move(sql));
     };
-    auto exec_fn = [st, shards](std::uint64_t wid, std::string sql) -> Task<std::string> {
+    db.exec = [st, shards](std::uint64_t wid, std::string sql) -> Task<std::string> {
       const int owner = static_cast<int>(wid % static_cast<std::uint64_t>(shards));
       co_return co_await st->Execute(owner, wid, std::move(sql));
     };
-    servers.push_back(
-        std::make_unique<apps::HttpServer>(m, *stack, 80, std::move(query_fn)));
-    servers.back()->SetDbExec(std::move(exec_fn));
-    servers.back()->SetAdmission({/*workers=*/8, /*max_pending=*/32,
-                                  /*queue_deadline=*/5'000'000});
-    exec.Spawn(servers.back()->Serve());
-    exec.Spawn(ShardDriver(m, nic, *stack, i, core, &stop));
-    stacks.push_back(std::move(stack));
-  }
-  exec.Spawn(WireSink(nic, client, &stop));
+    return db;
+  });
 
   recover::MembershipService membership(s.sys);
-  Cycles first_view_change_at = 0;
+  RunOutput out;
   membership.Subscribe(
       [&](const recover::View& view, int dead_core) -> Task<> {
-        if (first_view_change_at == 0) {
-          first_view_change_at = exec.now() - t0;
+        if (out.first_view_change_at == 0) {
+          out.first_view_change_at = exec.now() - t0;
         }
         co_await store.HandleViewChange(view, dead_core);
       });
 
-  LoadStats st(exec, shards);
-  const int total = requests_per_shard * shards;
-  const Cycles interval = mix.interval_per_shard / static_cast<Cycles>(shards);
-  exec.Spawn(Generator(exec, client, total, interval, shards, mix, st, /*seed=*/42));
-  exec.Spawn(Supervisor(s.sys, nic, st, &stop, store));
+  bench::LoadStats st(exec);
+  out.ledger.resize(static_cast<std::size_t>(shards));
+  sim::Rng prng(/*seed=*/42);
+  std::uint64_t next_wid = 0;
+  exec.Spawn(bench::Generator(
+      exec, fe.client, bench::kServerIp, requests_per_shard * shards,
+      mix.interval_per_shard / static_cast<Cycles>(shards), mix.timing, st,
+      [&] { return NextRequest(prng, next_wid, out); }));
+  exec.Spawn(bench::Supervisor(fe.nic, st, &fe.stop, [&]() -> Task<> {
+    co_await store.Shutdown();
+    s.sys.Shutdown();
+  }));
   exec.Run();
 
-  RunOutput out;
+  out.TakeLoad(std::move(st), t0, exec.now(), exec.events_dispatched());
   out.t0 = t0;
-  out.final_now = exec.now();
-  out.events = exec.events_dispatched();
-  out.launched = st.launched;
-  out.completed = st.completed;
-  out.shed = st.shed;
-  out.retries = st.retries;
-  out.buys_launched = st.buys_launched;
-  out.buys_acked = st.buys_acked;
-  out.buys_errored = st.buys_errored;
-  out.latencies = std::move(st.latencies);
-  for (Cycles c : st.completions) {
-    out.completions.push_back(c - t0);
-  }
   for (int i = 0; i < shards; ++i) {
-    ShardLedger lg;
-    lg.acked = st.acked_per_shard[static_cast<std::size_t>(i)];
-    lg.buys = st.buys_per_shard[static_cast<std::size_t>(i)];
+    ShardLedger& lg = out.ledger[static_cast<std::size_t>(i)];
     const int leader = store.leader_slot(i);
     lg.leader_rows = store.replica_table_rows(i, leader, "ORDERS");
     lg.leader_wids = store.replica_distinct_wids(i, leader);
@@ -531,11 +259,9 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
         lg.replicas_agree = false;
       }
     }
-    out.ledger.push_back(lg);
   }
   out.view_changes = membership.view_changes_committed();
   out.epoch = membership.view().epoch;
-  out.first_view_change_at = first_view_change_at;
   out.promotions = store.promotions();
   out.respawns = store.respawns();
   out.catchups = store.catchups();
@@ -548,87 +274,14 @@ RunOutput RunServing(const hw::PlatformSpec& spec, int shards, const Mix& mix,
   }
   out.wal_redeliveries = fs.redeliveries();
   out.fs_consistent = fs.ReplicasConsistent() && s.sys.LiveReplicasConsistent();
-  for (int c = 0; c < s.sys.num_cores(); ++c) {
-    if (s.sys.IsOnline(c) && s.sys.on(c).inflight_ops() != 0) {
-      out.monitors_quiesced = false;
-    }
-  }
-  if (inj != nullptr) {
-    if (print_activations) {
-      inj->PrintActivationTable();
-    }
-    out.specs_activated = inj->AllSpecsActivated();
-    inj->Uninstall();
-  }
+  out.monitors_quiesced = bench::MonitorsQuiesced(s.sys);
+  out.diagnostics = fe.QueueTable();
+  out.specs_activated = bench::RetireInjector(inj.get(), print_activations);
   return out;
 }
 
 // ---------------------------------------------------------------------------
 // Reporting
-
-std::vector<int> Bucketize(const RunOutput& r, Cycles window) {
-  std::vector<int> buckets(static_cast<std::size_t>(window / kBucket), 0);
-  for (Cycles c : r.completions) {
-    const std::size_t b = static_cast<std::size_t>(c / kBucket);
-    if (b < buckets.size()) {
-      ++buckets[b];
-    }
-  }
-  return buckets;
-}
-
-void PrintBuckets(const std::vector<int>& buckets) {
-  std::printf("completions per %.1fM-cycle bucket (t0 = serving start):\n",
-              static_cast<double>(kBucket) / 1e6);
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    std::printf("%4d%s", buckets[b], (b + 1) % 10 == 0 ? "\n" : " ");
-  }
-  if (buckets.size() % 10 != 0) {
-    std::printf("\n");
-  }
-}
-
-// Same mean-based recovery rule as sec54_failover: recovered at the first
-// bucket from which the remaining run sustains >= 7/8 of the pre-kill mean
-// with no bucket below half of it. 7/8 is stricter than the (N-1)/N floor a
-// 1-of-4 (or 1-of-2) replica loss must clear — and a promoted follower
-// restores the full N/N, so the bench holds it to more than survival.
-struct Recovery {
-  double prekill = 0;
-  double threshold = 0;
-  bool recovered = false;
-  Cycles window = 0;
-};
-
-Recovery AnalyzeRecovery(const std::vector<int>& buckets, Cycles kill_at) {
-  Recovery r;
-  const std::size_t kill_bucket = static_cast<std::size_t>(kill_at / kBucket);
-  const std::size_t last = buckets.empty() ? 0 : buckets.size() - 1;
-  if (kill_bucket < 2 || kill_bucket >= last) {
-    return r;
-  }
-  for (std::size_t b = 1; b < kill_bucket; ++b) {
-    r.prekill += buckets[b];
-  }
-  r.prekill /= static_cast<double>(kill_bucket - 1);
-  r.threshold = r.prekill * 7.0 / 8.0;
-  for (std::size_t b = kill_bucket; b < last; ++b) {
-    double sum = 0;
-    bool hole = false;
-    for (std::size_t b2 = b; b2 < last; ++b2) {
-      sum += buckets[b2];
-      if (buckets[b2] < r.prekill / 2.0) {
-        hole = true;
-      }
-    }
-    if (!hole && sum / static_cast<double>(last - b) >= r.threshold) {
-      r.recovered = true;
-      r.window = static_cast<Cycles>(b + 1) * kBucket - kill_at;
-      return r;
-    }
-  }
-  return r;
-}
 
 bool SameRun(const RunOutput& a, const RunOutput& b) {
   if (a.ledger.size() != b.ledger.size()) {
@@ -641,10 +294,7 @@ bool SameRun(const RunOutput& a, const RunOutput& b) {
       return false;
     }
   }
-  return a.final_now == b.final_now && a.events == b.events &&
-         a.completed == b.completed && a.shed == b.shed &&
-         a.retries == b.retries && a.latencies == b.latencies &&
-         a.buys_acked == b.buys_acked && a.view_changes == b.view_changes &&
+  return bench::SameReplay(a, b) && a.buys_acked == b.buys_acked &&
          a.promotions == b.promotions && a.respawns == b.respawns &&
          a.rpc_timeouts == b.rpc_timeouts && a.truncated == b.truncated;
 }
@@ -695,18 +345,13 @@ void PrintCounters(const RunOutput& r) {
               "requests:", r.launched, r.completed, r.shed, r.retries);
   std::printf("%-26s %d launched, %d acked, %d store-errored\n",
               "buys:", r.buys_launched, r.buys_acked, r.buys_errored);
-  std::printf("%-26s mean %.0f, p99 %llu cycles\n", "latency:",
-              r.latencies.empty()
-                  ? 0.0
-                  : static_cast<double>(
-                        [&] {
-                          Cycles s = 0;
-                          for (Cycles c : r.latencies) {
-                            s += c;
-                          }
-                          return s;
-                        }()) /
-                        static_cast<double>(r.latencies.size()),
+  const double mean =
+      r.latencies.empty()
+          ? 0.0
+          : static_cast<double>(std::accumulate(r.latencies.begin(),
+                                                r.latencies.end(), Cycles{0})) /
+                static_cast<double>(r.latencies.size());
+  std::printf("%-26s mean %.0f, p99 %llu cycles\n", "latency:", mean,
               static_cast<unsigned long long>(Percentile(r.latencies, 0.99)));
   std::printf("%-26s %llu shipped, %llu stale dropped, %llu truncated, "
               "%llu fenced, %llu WAL redeliveries\n",
@@ -797,42 +442,26 @@ int RunKillLeader(bench::TraceSession& session, bool quick, int shard) {
                            /*print_activations=*/false);
 
   const Cycles window = static_cast<Cycles>(rps) * Mix{}.interval_per_shard;
-  const std::vector<int> buckets = Bucketize(a, window);
-  PrintBuckets(buckets);
+  const std::vector<int> buckets = bench::Bucketize(a.completions, window, kBucket);
+  bench::PrintBuckets(buckets, kBucket, "t0 = serving start");
   PrintCounters(a);
   const bool ledger_ok = CheckLedger(a, /*exact=*/false, /*print=*/true);
 
-  const Recovery rec = AnalyzeRecovery(buckets, kKillOffset);
-  std::printf("%-26s %.1f/bucket pre-kill mean, threshold %.1f (>= 7/8, above "
-              "the %d/%d survivor floor)\n",
-              "recovery target:", rec.prekill, rec.threshold, shards - 1, shards);
-  if (rec.recovered) {
-    std::printf("%-26s sustained mean >= %.1f/bucket within %llu cycles of the "
-                "kill\n",
-                "recovery window:", rec.threshold,
-                static_cast<unsigned long long>(rec.window));
-  } else {
-    std::printf("%-26s NEVER RECOVERED\n", "recovery window:");
-  }
+  // 7/8 is stricter than the (N-1)/N floor a 1-of-4 (or 1-of-2) replica loss
+  // must clear — and a promoted follower restores the full N/N, so the bench
+  // holds it to more than survival.
+  const bench::Recovery rec =
+      bench::AnalyzeRecovery(buckets, kKillOffset, kBucket, 7.0 / 8.0);
+  bench::PrintRecovery(rec, ">= 7/8, above the " + std::to_string(shards - 1) +
+                                "/" + std::to_string(shards) + " survivor floor");
   std::printf("%-26s first view change committed at t0+%llu\n", "detection:",
               static_cast<unsigned long long>(a.first_view_change_at));
 
-  const bool no_loss = a.completed + a.shed == a.launched;
-  const bool deterministic = SameRun(a, b);
-  std::printf("%-26s %s\n", "committed-work ledger:",
-              no_loss ? "completed + shed == launched" : "REQUESTS LOST");
-  std::printf("%-26s %s (run 1: %llu cycles / %llu events, run 2: %llu / %llu)\n",
-              "replay bit-identical:", deterministic ? "yes" : "NO",
-              static_cast<unsigned long long>(a.final_now),
-              static_cast<unsigned long long>(a.events),
-              static_cast<unsigned long long>(b.final_now),
-              static_cast<unsigned long long>(b.events));
-  const bool ok = rec.recovered && no_loss && deterministic && ledger_ok &&
-                  a.view_changes == 1 && a.promotions == 1 && a.respawns == 1 &&
-                  a.catchups == 1 && a.buys_errored == 0 &&
-                  a.specs_activated && a.fs_consistent;
-  std::printf("%-26s %s\n", "verdict:", ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  return bench::CloseKillRun(
+      a, b, SameRun(a, b),
+      rec.recovered && ledger_ok && a.view_changes == 1 && a.promotions == 1 &&
+          a.respawns == 1 && a.catchups == 1 && a.buys_errored == 0 &&
+          a.specs_activated && a.fs_consistent);
 }
 
 int RunChaos(bench::TraceSession& session, bool quick, std::uint64_t seed) {
@@ -848,18 +477,11 @@ int RunChaos(bench::TraceSession& session, bool quick, std::uint64_t seed) {
   sim::Rng rng(seed);
   std::vector<Kill> kills;
   const int n_kills = 1 + static_cast<int>(rng.Below(2));
-  int first_shard = -1;
   int leader_kills = 0;
   for (int k = 0; k < n_kills; ++k) {
     Kill kill;
-    if (k == 0) {
-      kill.shard = static_cast<int>(rng.Below(static_cast<std::uint64_t>(shards)));
-      first_shard = kill.shard;
-    } else {
-      kill.shard = (first_shard + 1 +
-                    static_cast<int>(rng.Below(static_cast<std::uint64_t>(shards - 1)))) %
-                   shards;
-    }
+    kill.shard = k == 0 ? static_cast<int>(rng.Below(static_cast<std::uint64_t>(shards)))
+                        : bench::PickOther(rng, shards, kills.front().shard);
     kill.slot = static_cast<int>(rng.Below(2));
     kill.at = 1'000'000 + static_cast<Cycles>(rng.Below(3'000'000));
     leader_kills += kill.slot == 0 ? 1 : 0;
@@ -891,35 +513,24 @@ int RunChaos(bench::TraceSession& session, bool quick, std::uint64_t seed) {
   PrintCounters(r);
   const bool ledger_ok = CheckLedger(r, /*exact=*/false, /*print=*/true);
 
-  struct Check {
-    const char* name;
-    bool ok;
-  } checks[] = {
-      {"request ledger balances", r.completed + r.shed == r.launched},
-      {"majority served", r.completed * 2 >= r.launched},
-      {"write ledger exact-once", ledger_ok},
-      {"all kills became view changes",
-       r.view_changes == static_cast<std::uint64_t>(n_kills) &&
-           r.epoch == 1 + static_cast<std::uint64_t>(n_kills)},
-      {"leader kills became promotions",
-       r.promotions == static_cast<std::uint64_t>(leader_kills)},
-      {"dead replicas respawned and caught up",
-       r.respawns == static_cast<std::uint64_t>(n_kills) &&
-           r.catchups == r.respawns},
-      {"fs + monitor replicas consistent", r.fs_consistent},
-      {"monitors quiesced", r.monitors_quiesced},
-      {"every fault spec fired", r.specs_activated},
-  };
-  bool ok = true;
-  for (const Check& c : checks) {
-    std::printf("%-36s %s\n", c.name, c.ok ? "ok" : "FAIL");
-    ok = ok && c.ok;
-  }
-  if (!ok) {
-    std::printf("chaos FAIL: reproduce with seed %llu (plan above)\n",
-                static_cast<unsigned long long>(seed));
-  }
-  return ok ? 0 : 1;
+  return bench::PrintChecks(
+      {
+          {"request ledger balances", r.completed + r.shed == r.launched},
+          {"majority served", r.completed * 2 >= r.launched},
+          {"write ledger exact-once", ledger_ok},
+          {"all kills became view changes",
+           r.view_changes == static_cast<std::uint64_t>(n_kills) &&
+               r.epoch == 1 + static_cast<std::uint64_t>(n_kills)},
+          {"leader kills became promotions",
+           r.promotions == static_cast<std::uint64_t>(leader_kills)},
+          {"dead replicas respawned and caught up",
+           r.respawns == static_cast<std::uint64_t>(n_kills) &&
+               r.catchups == r.respawns},
+          {"fs + monitor replicas consistent", r.fs_consistent},
+          {"monitors quiesced", r.monitors_quiesced},
+          {"every fault spec fired", r.specs_activated},
+      },
+      /*width=*/36, seed, r.diagnostics);
 }
 
 }  // namespace
@@ -939,11 +550,8 @@ int main(int argc, char** argv) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(arg, "--kill-leader") == 0) {
-      kill_leader = true;
-    } else if (std::strncmp(arg, "--kill-leader=", 14) == 0) {
-      kill_leader = true;
-      kill_shard = std::atoi(arg + 14);
+    } else if (bench::MatchOptionalIntFlag(arg, "--kill-leader", &kill_leader,
+                                           &kill_shard)) {
     } else if (std::strncmp(arg, "--chaos-seed=", 13) == 0) {
       chaos = true;
       chaos_seed = std::strtoull(arg + 13, nullptr, 10);
@@ -954,13 +562,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  int rc = 0;
   if (chaos) {
-    rc = RunChaos(session, quick, chaos_seed);
-  } else if (kill_leader) {
-    rc = RunKillLeader(session, quick, kill_shard);
-  } else {
-    rc = RunSweep(session, quick);
+    return RunChaos(session, quick, chaos_seed);
   }
-  return rc;
+  if (kill_leader) {
+    return RunKillLeader(session, quick, kill_shard);
+  }
+  return RunSweep(session, quick);
 }
