@@ -103,9 +103,8 @@ struct Ledger {
 };
 
 struct Cluster {
-  explicit Cluster(bool lifecycle_clients) : m(exec, hw::Amd2x2()) {
+  Cluster() : m(exec, hw::Amd2x2()) {
     net::TcpLifecycle server_lc;
-    server_lc.enabled = true;
     server_lc.time_wait = 400'000;
     server_lc.syn_rcvd_timeout = 1'000'000;
     server_lc.max_half_open = 64;
@@ -116,12 +115,9 @@ struct Cluster {
       net::MacAddr mac{2, 0, 0, 1, 0, static_cast<std::uint8_t>(1 + i)};
       auto st = std::make_unique<net::NetStack>(m, kClientCore, ip, mac,
                                                 bench::FreeCosts());
-      if (lifecycle_clients) {
-        net::TcpLifecycle lc;
-        lc.enabled = true;
-        lc.time_wait = 200'000;
-        st->SetLifecycle(lc);
-      }
+      net::TcpLifecycle lc;
+      lc.time_wait = 200'000;
+      st->SetLifecycle(lc);
       st->AddArp(kServerIp, kServerMac);
       server->AddArp(ip, mac);
       clients.push_back(std::move(st));
@@ -132,7 +128,6 @@ struct Cluster {
       attacker = std::make_unique<net::NetStack>(m, kAttackCore, ip, mac,
                                                  bench::FreeCosts());
       net::TcpLifecycle lc;
-      lc.enabled = true;
       lc.time_wait = 200'000;
       attacker->SetLifecycle(lc);
       attacker->AddArp(kServerIp, kServerMac);
@@ -703,7 +698,7 @@ bool RunOne(Attack attack, const Sizes& sz, std::uint64_t chaos_seed,
   recover::RecoveryConfig rc;
   rc.tcp_rto = 2'000'000;  // no loss here; don't let handshake queueing look like it
   recover::ScopedRecoveryConfig scoped_rc(rc);
-  Cluster cl(/*lifecycle_clients=*/true);
+  Cluster cl;
   RunState rs(cl.exec);
   rs.bucket = sz.bucket;
   rs.pools.resize(kClientStacks);

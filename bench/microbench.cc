@@ -315,9 +315,9 @@ std::size_t MallocInUse() {
   return mi.uordblks + mi.hblkhd;
 }
 
-// What one held keep-alive connection costs the host: a lifecycle client
-// stack and a lifecycle server stack with an HttpServer (the keepalive-100k
-// shape), 1,000 connections that each served one request and now idle.
+// What one held keep-alive connection costs the host: a client stack and a
+// server stack with an HttpServer (the keepalive-100k shape), 1,000
+// connections that each served one request and now idle.
 // Reports malloc's in-use bytes (allocator overhead included) and live
 // allocations per connection; the time is the ramp plus the close.
 void BM_HeldConnectionFootprint(benchmark::State& state) {
@@ -332,10 +332,6 @@ void BM_HeldConnectionFootprint(benchmark::State& state) {
     hw::Machine m(exec, hw::Amd2x2());
     net::NetStack server(m, 3, kSrvIp, kSrvMac);
     net::NetStack client(m, 0, kCliIp, kCliMac);
-    net::TcpLifecycle lc;
-    lc.enabled = true;
-    server.SetLifecycle(lc);
-    client.SetLifecycle(lc);
     server.AddArp(kCliIp, kCliMac);
     client.AddArp(kSrvIp, kSrvMac);
     server.SetOutput([&client](net::Packet p) -> Task<> { co_await client.Input(std::move(p)); });

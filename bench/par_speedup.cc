@@ -136,6 +136,7 @@ Task<> ServeClient(ServeWorld& w, int requests) {
       }
     }
     co_await w.client.TcpClose(*conn);
+    w.client.Release(conn);
     ++w.requests_done;
   }
 }

@@ -171,9 +171,8 @@ RackOutput RunRack(const RackConfig& cfg, const fault::FaultPlan* plan,
 
   // Backends: every shard stack binds the VIP (direct server return; the
   // stack demuxes inbound by destination IP, so shards share it) plus its
-  // machine's MAC, and pre-arms RST-for-unknown — the arming is
-  // injector-gated in the stack, so golden runs never send one, and there is
-  // no way to arm it at view-change time from the balancer's domain.
+  // machine's MAC. A flow the balancer re-steers onto a backend that never
+  // saw it draws a RST, so the client retries at once.
   std::vector<bench::Shard> shards;
   for (int b = 0; b < cfg.machines; ++b) {
     hw::Machine& bm = topo.backend_machine(b);
@@ -184,7 +183,6 @@ RackOutput RunRack(const RackConfig& cfg, const fault::FaultPlan* plan,
       bench::Shard sh = bench::MakeShard(bm, bnic, s, core, Topo::kVip,
                                          Topo::BackendMac(b), Topo::kClientIp,
                                          Topo::ClientMac(), nullptr);
-      sh.stack->SetSendRstForUnknown(true);
       sh.server->SetAdmission(bench::kShedAdmission);
       bexec.Spawn(sh.server->Serve());
       // Parks with no timeout: a driver on a dead machine is simply

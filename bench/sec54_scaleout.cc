@@ -234,6 +234,7 @@ double RunStaticScenario() {
           }
         }
         co_await cl.TcpClose(*conn);
+        cl.Release(conn);
       }
       ++*finished;
     }(client, kRequestsPerClient, &done, 1000 + c));

@@ -185,6 +185,7 @@ double RunScenario(Scenario sc) {
           }
         }
         co_await cl.TcpClose(*conn);
+        cl.Release(conn);
       }
       ++*finished;
     }(client, sc.use_db, kRequestsPerClient, &done, 1000 + c));

@@ -197,6 +197,7 @@ inline Task<> Request(sim::Executor& exec, net::NetStack& client,
       co_await conn->readable.WaitTimeout(attempt_deadline - now);
     }
     co_await client.TcpClose(*conn);
+    client.Release(conn);
   }
   if (out.ok) {
     ++st.completed;
@@ -526,9 +527,10 @@ struct ShardedFrontEnd {
     m.exec().Spawn(WireSink(nic, client, &stop));
   }
 
-  // A dead web core: move its RX queue's RETA slots onto the surviving shards
-  // and arm RST-for-unknown on them, so adopted flows reset immediately
-  // instead of waiting out client timeouts. Returns the slots rewritten.
+  // A dead web core: move its RX queue's RETA slots onto the surviving shards.
+  // A survivor answers an adopted flow's mid-flow segment with RST (the stack
+  // resets every unknown flow), so the client retries at once instead of
+  // waiting out its timeout. Returns the slots rewritten.
   int ResteerDeadWebCore(const recover::View& view, int dead_core) {
     const auto dead = std::find(web_cores.begin(), web_cores.end(), dead_core);
     if (dead == web_cores.end()) {
@@ -543,12 +545,7 @@ struct ShardedFrontEnd {
     if (survivors.empty()) {
       return 0;
     }
-    const int rewritten =
-        nic.ResteerQueue(static_cast<int>(dead - web_cores.begin()), survivors);
-    for (int t : survivors) {
-      shards[static_cast<std::size_t>(t)].stack->SetSendRstForUnknown(true);
-    }
-    return rewritten;
+    return nic.ResteerQueue(static_cast<int>(dead - web_cores.begin()), survivors);
   }
 
   // Per-queue rx/drops/adopted, served/shed, RSTs/retx and the client's

@@ -229,7 +229,7 @@ Task<> HttpServer::ServeConnection(net::NetStack::TcpConn* conn) {
   }
   co_await stack_.TcpSend(*conn, RenderHttpResponse(resp));
   co_await stack_.TcpClose(*conn);
-  stack_.Release(conn);  // no-op in legacy mode; reap-enabling in lifecycle
+  stack_.Release(conn);
 }
 
 Task<> HttpServer::ServeConnectionKeepAlive(net::NetStack::TcpConn* conn) {

@@ -187,26 +187,20 @@ Task<> NetStack::SendTcpSegment(TcpConn& conn, TcpFlags flags, const std::uint8_
   if (seq_len > 0) {
     // Segments that occupy sequence space are kept until acknowledged (pure
     // ACKs are not retransmittable). This bookkeeping runs on every send; the
-    // timer that retransmits from it only exists under fault injection
-    // (legacy) or rides the wheel (lifecycle).
+    // wheel timer that retransmits from it is armed only under fault
+    // injection, the one source of loss. SYN_RCVD never arms it — a
+    // half-open connection does not retransmit its SYN-ACK (the client's SYN
+    // retransmit provokes a re-send instead), so a SYN flood cannot make the
+    // server arm 100k timers.
     TcpConn::SentSeg seg;
     seg.seq = tcp.seq;
     seg.seq_len = seq_len;
     seg.flags = flags;
     seg.data.assign(data, data + len);
     conn.unacked.push_back(std::move(seg));
-    if (conn.state != TcpState::kLegacy) {
-      // Lifecycle: wheel-carried go-back-N, always armed. SYN_RCVD is the
-      // exception — a half-open connection never retransmits its SYN-ACK
-      // (the client's SYN retransmit provokes a re-send instead), so a SYN
-      // flood cannot make the server arm 100k timers.
-      if (conn.state != TcpState::kSynRcvd &&
-          conn.retx_id == TimerWheel::kNoTimer) {
-        ArmRetx(conn, recover::Config().tcp_rto);
-      }
-    } else if (fault::Injector::active() != nullptr && !conn.retx_timer_running) {
-      conn.retx_timer_running = true;
-      machine_.exec().Spawn(RetransmitTimer(conn));
+    if (fault::Injector::active() != nullptr && conn.state != TcpState::kSynRcvd &&
+        conn.retx_id == TimerWheel::kNoTimer) {
+      ArmRetx(conn, recover::Config().tcp_rto);
     }
   }
   Packet frame = BuildTcpFrame(eth, ip, tcp, data, len);
@@ -232,43 +226,7 @@ Task<> NetStack::SendTcpRaw(TcpConn& conn, std::uint32_t seq, TcpFlags flags,
   co_await Emit(std::move(frame), len);
 }
 
-Task<> NetStack::RetransmitTimer(TcpConn& conn) {
-  // Go-back-N: on each timeout with no forward progress, re-send everything
-  // outstanding from snd_una. The connection object is owned by conns_ and
-  // never erased (legacy connections only), so the reference stays valid
-  // across suspensions.
-  Cycles rto = recover::Config().tcp_rto;
-  int tries = 0;
-  while (fault::Injector::active() != nullptr && !conn.unacked.empty()) {
-    std::uint32_t una_before = conn.snd_una;
-    co_await machine_.exec().Delay(rto);
-    if (conn.unacked.empty()) {
-      break;
-    }
-    if (conn.snd_una != una_before) {
-      rto = recover::Config().tcp_rto;  // forward progress: reset the backoff
-      tries = 0;
-      continue;
-    }
-    if (++tries > recover::Config().tcp_max_retx) {
-      break;  // peer presumed dead; stop re-arming so the executor can drain
-    }
-    ++tcp_retransmits_;
-    trace::Emit<trace::Category::kFault>(trace::EventId::kFaultTcpRetransmit,
-                                         machine_.exec().now(), core_, conn.snd_una,
-                                         static_cast<std::uint64_t>(tries));
-    // Snapshot: ACKs arriving during the resend's suspensions may pop from
-    // the live queue under us.
-    std::vector<TcpConn::SentSeg> window(conn.unacked.begin(), conn.unacked.end());
-    for (const TcpConn::SentSeg& seg : window) {
-      co_await SendTcpRaw(conn, seg.seq, seg.flags, seg.data.data(), seg.data.size());
-    }
-    rto *= 2;
-  }
-  conn.retx_timer_running = false;
-}
-
-// --- Lifecycle internals ---
+// --- Connection lifecycle internals ---
 
 std::uint32_t NetStack::CookieFor(Ipv4Addr remote_ip, std::uint16_t remote_port,
                                   std::uint16_t local_port) const {
@@ -316,7 +274,7 @@ void NetStack::LeaveState(TcpConn& c) {
 }
 
 void NetStack::CloseConn(TcpConn& c, CloseCause cause) {
-  if (c.state == TcpState::kClosed || c.state == TcpState::kLegacy) {
+  if (c.state == TcpState::kClosed) {
     return;
   }
   LeaveState(c);
@@ -358,8 +316,7 @@ void NetStack::EnterTimeWait(TcpConn& c) {
 }
 
 void NetStack::MaybeReap(TcpConn& c) {
-  if (!lifecycle_.enabled || c.state != TcpState::kClosed || !c.app_released ||
-      c.pins != 0) {
+  if (c.state != TcpState::kClosed || !c.app_released || c.pins != 0) {
     return;
   }
   // Every timer referencing the conn was cancelled on the way to kClosed and
@@ -376,7 +333,8 @@ void NetStack::ArmRetx(TcpConn& c, Cycles rto) {
 
 void NetStack::RetxFire(TcpConn* c) {
   c->retx_id = TimerWheel::kNoTimer;
-  if (c->state == TcpState::kClosed || c->unacked.empty()) {
+  if (c->state == TcpState::kClosed || c->unacked.empty() ||
+      fault::Injector::active() == nullptr) {
     c->retx_tries = 0;
     return;
   }
@@ -410,7 +368,7 @@ Task<> NetStack::ResendWindow(TcpConn* c) {
 }
 
 void NetStack::Release(TcpConn* conn) {
-  if (conn == nullptr || !lifecycle_.enabled || conn->state == TcpState::kLegacy) {
+  if (conn == nullptr) {
     return;
   }
   conn->app_released = true;
@@ -418,7 +376,7 @@ void NetStack::Release(TcpConn* conn) {
 }
 
 Task<bool> NetStack::WaitReadable(TcpConn& conn, Cycles timeout) {
-  if (timeout == 0 || !lifecycle_.enabled || conn.state == TcpState::kLegacy) {
+  if (timeout == 0) {
     while (conn.rx.empty() && !conn.peer_closed) {
       co_await conn.readable.Wait();
     }
@@ -453,83 +411,42 @@ NetStack::Listener& NetStack::TcpListen(std::uint16_t port) {
 
 Task<NetStack::TcpConn*> NetStack::TcpConnect(Ipv4Addr dst_ip, std::uint16_t dst_port,
                                               Cycles timeout) {
-  if (lifecycle_.enabled) {
-    std::uint16_t port = AllocEphemeralPort(dst_ip, dst_port);
-    if (port == 0) {
-      co_return nullptr;  // ephemeral range to this destination exhausted
-    }
-    auto owned = std::make_unique<TcpConn>(machine_.exec());
-    owned->remote_ip = dst_ip;
-    owned->remote_port = dst_port;
-    owned->local_port = port;
-    owned->snd_nxt = 1000;  // deterministic ISN
-    owned->snd_una = 1000;
-    owned->state = TcpState::kSynSent;
-    TcpConn* c = conns_.Insert(ConnKey(dst_ip, dst_port, port), std::move(owned));
-    ++half_open_count_;
-    PinGuard pin(this, c);
-    if (timeout > 0) {
-      c->lifecycle_id = wheel_.Schedule(timeout, [this, c] {
-        c->lifecycle_id = TimerWheel::kNoTimer;
-        if (c->state != TcpState::kSynSent) {
-          return;
-        }
-        // Handshake abandoned: sweep the entry so the 4-tuple is reusable.
-        c->abandoned = true;
-        ++abandoned_swept_;
-        trace::Emit<trace::Category::kConn>(
-            trace::EventId::kConnTimeout, machine_.exec().now(), core_, 0,
-            ConnKey(c->remote_ip, c->remote_port, c->local_port));
-        CloseConn(*c, CloseCause::kConnectTimeout);
-      });
-    }
-    co_await SendTcpSegment(*c, TcpFlags{.syn = true}, nullptr, 0);
-    while (c->state == TcpState::kSynSent) {
-      co_await c->readable.Wait();
-    }
-    if (c->state != TcpState::kEstablished) {
-      // Timed out or reset before completion; the pin guard reaps on return.
-      c->app_released = true;
-      co_return nullptr;
-    }
-    co_return c;
+  std::uint16_t port = AllocEphemeralPort(dst_ip, dst_port);
+  if (port == 0) {
+    co_return nullptr;  // ephemeral range to this destination exhausted
   }
-  auto conn = std::make_unique<TcpConn>(machine_.exec());
-  TcpConn* c = conn.get();
-  c->remote_ip = dst_ip;
-  c->remote_port = dst_port;
-  c->local_port = next_ephemeral_++;
-  c->snd_nxt = 1000;  // deterministic ISN
-  c->snd_una = 1000;
-  conns_.Insert(ConnKey(dst_ip, dst_port, c->local_port), std::move(conn));
-  const Cycles deadline = machine_.exec().now() + timeout;
-  co_await SendTcpSegment(*c, TcpFlags{.syn = true}, nullptr, 0);
-  while (!c->established) {
-    if (c->peer_closed) {
-      // RST before the handshake completed (only possible under injection):
-      // the peer refuses this connection. Abandon it in place — the conn
-      // object must stay owned by conns_ because the SYN's RetransmitTimer
-      // may still hold a reference to it across a Delay; clearing unacked
-      // makes that timer exit at its next wake. Ephemeral ports are never
-      // reused, so the dead map entry can't shadow a future flow.
-      c->abandoned = true;
-      c->unacked.clear();
-      co_return nullptr;
-    }
-    if (timeout == 0) {
-      co_await c->readable.Wait();
-      continue;
-    }
-    Cycles now = machine_.exec().now();
-    if (now >= deadline ||
-        !co_await c->readable.WaitTimeout(deadline - now)) {
-      if (!c->established) {  // SYN-ACK may have raced the timer
-        c->peer_closed = true;  // abandoned; see RST comment above
-        c->abandoned = true;
-        c->unacked.clear();
-        co_return nullptr;
+  auto owned = std::make_unique<TcpConn>(machine_.exec());
+  owned->remote_ip = dst_ip;
+  owned->remote_port = dst_port;
+  owned->local_port = port;
+  owned->snd_nxt = 1000;  // deterministic ISN
+  owned->snd_una = 1000;
+  owned->state = TcpState::kSynSent;
+  TcpConn* c = conns_.Insert(ConnKey(dst_ip, dst_port, port), std::move(owned));
+  ++half_open_count_;
+  PinGuard pin(this, c);
+  if (timeout > 0) {
+    c->lifecycle_id = wheel_.Schedule(timeout, [this, c] {
+      c->lifecycle_id = TimerWheel::kNoTimer;
+      if (c->state != TcpState::kSynSent) {
+        return;
       }
-    }
+      // Handshake abandoned: sweep the entry so the 4-tuple is reusable.
+      ++abandoned_swept_;
+      trace::Emit<trace::Category::kConn>(
+          trace::EventId::kConnTimeout, machine_.exec().now(), core_, 0,
+          ConnKey(c->remote_ip, c->remote_port, c->local_port));
+      CloseConn(*c, CloseCause::kConnectTimeout);
+    });
+  }
+  co_await SendTcpSegment(*c, TcpFlags{.syn = true}, nullptr, 0);
+  while (c->state == TcpState::kSynSent) {
+    co_await c->readable.Wait();
+  }
+  if (c->state != TcpState::kEstablished) {
+    // Timed out or reset before completion; the pin guard reaps on return.
+    c->app_released = true;
+    co_return nullptr;
   }
   co_return c;
 }
@@ -537,215 +454,107 @@ Task<NetStack::TcpConn*> NetStack::TcpConnect(Ipv4Addr dst_ip, std::uint16_t dst
 Task<> NetStack::HandleTcp(const ParsedFrame& f, const Packet& frame) {
   const TcpHeader& tcp = *f.tcp;
   TcpConn* cp = conns_.Find(ConnKey(f.ip.src, tcp.src_port, tcp.dst_port));
-  if (cp == nullptr) {
-    if (lifecycle_.enabled) {
-      auto lit = listeners_.find(tcp.dst_port);
-      if (lit != listeners_.end() && tcp.flags.syn && !tcp.flags.ack &&
-          !tcp.flags.rst) {
-        if (lifecycle_.max_half_open > 0 &&
-            half_open_count_ >= lifecycle_.max_half_open) {
-          // Half-open table full: answer statelessly with a SYN-cookie ISN.
-          // A legitimate client's ACK reconstructs the connection below; a
-          // flood source that never ACKs costs us nothing.
-          std::uint32_t cookie = CookieFor(f.ip.src, tcp.src_port, tcp.dst_port);
-          ++syn_cookies_sent_;
-          trace::Emit<trace::Category::kConn>(
-              trace::EventId::kConnCookieSent, machine_.exec().now(), core_, cookie,
-              ConnKey(f.ip.src, tcp.src_port, tcp.dst_port));
-          co_await SendStatelessSegment(f.ip.src, tcp.dst_port, tcp.src_port,
-                                        cookie, tcp.seq + 1,
-                                        TcpFlags{.syn = true, .ack = true});
-          co_return;
-        }
-        // True 3-way handshake: park the connection half-open; accept
-        // completes only on the client's ACK.
-        auto owned = std::make_unique<TcpConn>(machine_.exec());
-        owned->remote_ip = f.ip.src;
-        owned->remote_port = tcp.src_port;
-        owned->local_port = tcp.dst_port;
-        owned->rcv_nxt = tcp.seq + 1;
-        owned->snd_nxt = 5000;  // deterministic ISN
-        owned->snd_una = 5000;
-        owned->state = TcpState::kSynRcvd;
-        TcpConn* c =
-            conns_.Insert(ConnKey(f.ip.src, tcp.src_port, tcp.dst_port),
-                          std::move(owned));
-        ++half_open_count_;
-        trace::Emit<trace::Category::kConn>(
-            trace::EventId::kConnSynRcvd, machine_.exec().now(), core_,
-            ConnKey(f.ip.src, tcp.src_port, tcp.dst_port));
-        c->lifecycle_id = wheel_.Schedule(lifecycle_.syn_rcvd_timeout, [this, c] {
-          c->lifecycle_id = TimerWheel::kNoTimer;
-          if (c->state != TcpState::kSynRcvd) {
-            return;
-          }
-          ++half_open_evicted_;
-          trace::Emit<trace::Category::kConn>(
-              trace::EventId::kConnEvict, machine_.exec().now(), core_, 0,
-              ConnKey(c->remote_ip, c->remote_port, c->local_port));
-          c->app_released = true;  // never reached the application
-          CloseConn(*c, CloseCause::kHalfOpenExpiry);
-        });
-        PinGuard pin(this, c);
-        co_await SendTcpSegment(*c, TcpFlags{.syn = true, .ack = true}, nullptr, 0);
-        co_return;
-      }
-      if (lit != listeners_.end() && lifecycle_.max_half_open > 0 &&
-          tcp.flags.ack && !tcp.flags.syn && !tcp.flags.rst && !tcp.flags.fin) {
-        std::uint32_t cookie = CookieFor(f.ip.src, tcp.src_port, tcp.dst_port);
-        if (tcp.ack == cookie + 1) {
-          // Stateless handshake completion: the ACK proves the peer saw our
-          // cookie SYN-ACK; rebuild the connection it encodes.
-          auto owned = std::make_unique<TcpConn>(machine_.exec());
-          owned->remote_ip = f.ip.src;
-          owned->remote_port = tcp.src_port;
-          owned->local_port = tcp.dst_port;
-          owned->rcv_nxt = tcp.seq;
-          owned->snd_nxt = tcp.ack;
-          owned->snd_una = tcp.ack;
-          owned->state = TcpState::kEstablished;
-          owned->established = true;
-          TcpConn* c =
-              conns_.Insert(ConnKey(f.ip.src, tcp.src_port, tcp.dst_port),
-                            std::move(owned));
-          ++established_count_;
-          if (established_count_ > peak_established_) {
-            peak_established_ = established_count_;
-          }
-          ++syn_cookie_accepts_;
-          trace::Emit<trace::Category::kConn>(
-              trace::EventId::kConnCookieAccept, machine_.exec().now(), core_,
-              cookie, ConnKey(f.ip.src, tcp.src_port, tcp.dst_port));
-          trace::Emit<trace::Category::kConn>(
-              trace::EventId::kConnEstablished, machine_.exec().now(), core_,
-              ConnKey(f.ip.src, tcp.src_port, tcp.dst_port), 1);
-          lit->second->accepted.push_back(c);
-          lit->second->ready.Signal();
-          // The ACK may already carry request bytes; run it through the
-          // established-path handler so they are buffered and acked.
-          co_await HandleTcpLifecycle(f, frame, *c);
-          co_return;
-        }
-        ++syn_cookie_rejects_;
-      }
-      // Unknown flow in lifecycle mode: reset unconditionally. Cleanly-closed
-      // connections are erased from the table, so a late segment deserves to
-      // learn the flow is gone.
-      if (!tcp.flags.rst) {
-        co_await SendRstForSegment(f);
-      }
-      ++drops_no_listener_;
+  if (cp != nullptr) {
+    co_await HandleTcpConn(f, frame, *cp);
+    co_return;
+  }
+  auto lit = listeners_.find(tcp.dst_port);
+  if (lit != listeners_.end() && tcp.flags.syn && !tcp.flags.ack && !tcp.flags.rst) {
+    if (lifecycle_.max_half_open > 0 && half_open_count_ >= lifecycle_.max_half_open) {
+      // Half-open table full: answer statelessly with a SYN-cookie ISN. A
+      // legitimate client's ACK reconstructs the connection below; a flood
+      // source that never ACKs costs us nothing.
+      std::uint32_t cookie = CookieFor(f.ip.src, tcp.src_port, tcp.dst_port);
+      ++syn_cookies_sent_;
+      trace::Emit<trace::Category::kConn>(
+          trace::EventId::kConnCookieSent, machine_.exec().now(), core_, cookie,
+          ConnKey(f.ip.src, tcp.src_port, tcp.dst_port));
+      co_await SendStatelessSegment(f.ip.src, tcp.dst_port, tcp.src_port,
+                                    cookie, tcp.seq + 1,
+                                    TcpFlags{.syn = true, .ack = true});
       co_return;
     }
-    // New connection? Only if someone listens and this is a SYN.
-    auto lit = listeners_.find(tcp.dst_port);
-    if (lit == listeners_.end() || !tcp.flags.syn) {
-      if (send_rst_for_unknown_ && !tcp.flags.rst &&
-          fault::Injector::active() != nullptr) {
-        // A mid-flow segment for a connection we never saw: an orphaned flow
-        // re-steered here after its shard died. Reset it so the client can
-        // retry with a fresh SYN against this stack's listener.
-        co_await SendRstForSegment(f);
+    // True 3-way handshake: park the connection half-open; accept completes
+    // only on the client's ACK.
+    auto owned = std::make_unique<TcpConn>(machine_.exec());
+    owned->remote_ip = f.ip.src;
+    owned->remote_port = tcp.src_port;
+    owned->local_port = tcp.dst_port;
+    owned->rcv_nxt = tcp.seq + 1;
+    owned->snd_nxt = 5000;  // deterministic ISN
+    owned->snd_una = 5000;
+    owned->state = TcpState::kSynRcvd;
+    TcpConn* c =
+        conns_.Insert(ConnKey(f.ip.src, tcp.src_port, tcp.dst_port), std::move(owned));
+    ++half_open_count_;
+    trace::Emit<trace::Category::kConn>(
+        trace::EventId::kConnSynRcvd, machine_.exec().now(), core_,
+        ConnKey(f.ip.src, tcp.src_port, tcp.dst_port));
+    c->lifecycle_id = wheel_.Schedule(lifecycle_.syn_rcvd_timeout, [this, c] {
+      c->lifecycle_id = TimerWheel::kNoTimer;
+      if (c->state != TcpState::kSynRcvd) {
+        return;
       }
-      ++drops_no_listener_;
-      co_return;
-    }
-    auto conn = std::make_unique<TcpConn>(machine_.exec());
-    TcpConn* c = conn.get();
-    c->remote_ip = f.ip.src;
-    c->remote_port = tcp.src_port;
-    c->local_port = tcp.dst_port;
-    c->rcv_nxt = tcp.seq + 1;
-    c->snd_nxt = 5000;  // deterministic ISN
-    c->snd_una = 5000;
-    conns_.Insert(ConnKey(f.ip.src, tcp.src_port, tcp.dst_port), std::move(conn));
+      ++half_open_evicted_;
+      trace::Emit<trace::Category::kConn>(
+          trace::EventId::kConnEvict, machine_.exec().now(), core_, 0,
+          ConnKey(c->remote_ip, c->remote_port, c->local_port));
+      c->app_released = true;  // never reached the application
+      CloseConn(*c, CloseCause::kHalfOpenExpiry);
+    });
+    PinGuard pin(this, c);
     co_await SendTcpSegment(*c, TcpFlags{.syn = true, .ack = true}, nullptr, 0);
-    c->established = true;  // completes on the client's ACK (lossless link)
-    lit->second->accepted.push_back(c);
-    lit->second->ready.Signal();
     co_return;
   }
-  if (cp->state != TcpState::kLegacy) {
-    co_await HandleTcpLifecycle(f, frame, *cp);
-    co_return;
-  }
-  TcpConn& c = *cp;
-  // A late segment — typically the SYN-ACK a retransmitted SYN provoked —
-  // for a handshake this side already gave up on. Reset it: the peer (often
-  // a survivor that adopted the flow) holds a half-open connection no one
-  // will ever write to, and without the RST it would pin one of the server's
-  // admission workers until the end of the run. Abandonment only happens
-  // under injection (bounded connects give up only after faults delay them),
-  // so plain runs never take this branch.
-  if (c.abandoned && !tcp.flags.rst && fault::Injector::active() != nullptr) {
-    co_await SendRstForSegment(f);
-    co_return;
-  }
-  // RST aborts the connection outright: no more retransmissions (the peer
-  // told us the flow is dead), readers see peer-closed. RSTs only occur under
-  // injection (SetSendRstForUnknown), so plain runs never take this branch.
-  if (tcp.flags.rst) {
-    ++tcp_rsts_received_;
-    c.peer_closed = true;
-    c.unacked.clear();
-    c.readable.Signal();
-    c.closed_ev.Signal();
-    co_return;
-  }
-  // ACK processing: advance snd_una and retire acknowledged segments. Pure
-  // bookkeeping — no events are scheduled, so lossless runs are unaffected.
-  if (tcp.flags.ack) {
-    if (SeqLt(c.snd_una, tcp.ack) && SeqLe(tcp.ack, c.snd_nxt)) {
-      c.snd_una = tcp.ack;
-      c.dup_acks = 0;
-      while (!c.unacked.empty() &&
-             SeqLe(c.unacked.front().seq + c.unacked.front().seq_len, c.snd_una)) {
-        c.unacked.pop_front();
+  if (lit != listeners_.end() && lifecycle_.max_half_open > 0 &&
+      tcp.flags.ack && !tcp.flags.syn && !tcp.flags.rst && !tcp.flags.fin) {
+    std::uint32_t cookie = CookieFor(f.ip.src, tcp.src_port, tcp.dst_port);
+    if (tcp.ack == cookie + 1) {
+      // Stateless handshake completion: the ACK proves the peer saw our
+      // cookie SYN-ACK; rebuild the connection it encodes.
+      auto owned = std::make_unique<TcpConn>(machine_.exec());
+      owned->remote_ip = f.ip.src;
+      owned->remote_port = tcp.src_port;
+      owned->local_port = tcp.dst_port;
+      owned->rcv_nxt = tcp.seq;
+      owned->snd_nxt = tcp.ack;
+      owned->snd_una = tcp.ack;
+      owned->state = TcpState::kEstablished;
+      owned->established = true;
+      TcpConn* c =
+          conns_.Insert(ConnKey(f.ip.src, tcp.src_port, tcp.dst_port), std::move(owned));
+      ++established_count_;
+      if (established_count_ > peak_established_) {
+        peak_established_ = established_count_;
       }
-    } else if (tcp.ack == c.snd_una && !c.unacked.empty() && f.payload_len == 0 &&
-               !tcp.flags.syn && !tcp.flags.fin) {
-      ++c.dup_acks;  // recovery itself is timer-driven (go-back-N)
+      ++syn_cookie_accepts_;
+      trace::Emit<trace::Category::kConn>(
+          trace::EventId::kConnCookieAccept, machine_.exec().now(), core_,
+          cookie, ConnKey(f.ip.src, tcp.src_port, tcp.dst_port));
+      trace::Emit<trace::Category::kConn>(
+          trace::EventId::kConnEstablished, machine_.exec().now(), core_,
+          ConnKey(f.ip.src, tcp.src_port, tcp.dst_port), 1);
+      lit->second->accepted.push_back(c);
+      lit->second->ready.Signal();
+      // The ACK may already carry request bytes; run it through the
+      // established-path handler so they are buffered and acked.
+      co_await HandleTcpConn(f, frame, *c);
+      co_return;
     }
+    ++syn_cookie_rejects_;
   }
-  if (tcp.flags.syn && tcp.flags.ack && !c.established) {
-    // Our SYN was answered: complete the client side.
-    c.rcv_nxt = tcp.seq + 1;
-    c.established = true;
-    co_await SendTcpSegment(c, TcpFlags{.ack = true}, nullptr, 0);
-    c.readable.Signal();
-    co_return;
+  // Unknown flow: reset it. Cleanly-closed connections are erased from the
+  // table, so a late segment deserves to learn the flow is gone; a mid-flow
+  // segment re-steered here from a dead shard tells its client to retry with
+  // a fresh SYN that this stack's listener accepts (flow adoption).
+  if (!tcp.flags.rst) {
+    co_await SendRstForSegment(f);
   }
-  bool advanced = false;
-  if (f.payload_len > 0 && tcp.seq == c.rcv_nxt) {
-    c.rx.append(frame.data() + f.payload_offset, f.payload_len);
-    c.rcv_nxt += static_cast<std::uint32_t>(f.payload_len);
-    advanced = true;
-  }
-  // In-order FIN (rcv_nxt was already advanced past any payload above).
-  if (tcp.flags.fin &&
-      tcp.seq + static_cast<std::uint32_t>(f.payload_len) == c.rcv_nxt) {
-    c.rcv_nxt += 1;
-    c.peer_closed = true;
-    advanced = true;
-    c.closed_ev.Signal();
-  }
-  if (advanced) {
-    co_await SendTcpSegment(c, TcpFlags{.ack = true}, nullptr, 0);
-    c.readable.Signal();
-    co_return;
-  }
-  // A sequence-consuming segment that did not advance rcv_nxt is either a
-  // retransmitted duplicate or arrived past a loss-created hole. Re-announce
-  // rcv_nxt so the peer's go-back-N machinery converges. Loss only exists
-  // under injection, so plain runs never reach this send.
-  if (fault::Injector::active() != nullptr &&
-      (f.payload_len > 0 || tcp.flags.syn || tcp.flags.fin)) {
-    co_await SendTcpSegment(c, TcpFlags{.ack = true}, nullptr, 0);
-  }
+  ++drops_no_listener_;
 }
 
-Task<> NetStack::HandleTcpLifecycle(const ParsedFrame& f, const Packet& frame,
-                                    TcpConn& c) {
+Task<> NetStack::HandleTcpConn(const ParsedFrame& f, const Packet& frame,
+                               TcpConn& c) {
   PinGuard pin(this, &c);
   const TcpHeader& tcp = *f.tcp;
   if (tcp.flags.rst) {
@@ -886,8 +695,7 @@ Task<> NetStack::HandleTcpLifecycle(const ParsedFrame& f, const Packet& frame,
   }
   // Out-of-order or duplicate sequence-consuming segment (including a peer's
   // retransmitted FIN while we sit in TIME_WAIT): re-announce rcv_nxt so the
-  // peer's go-back-N converges. Unconditional in lifecycle mode — loss is a
-  // first-class citizen here, not an injector-only artifact.
+  // peer's go-back-N converges.
   if (f.payload_len > 0 || tcp.flags.syn || tcp.flags.fin) {
     co_await SendTcpSegment(c, TcpFlags{.ack = true}, nullptr, 0);
   }
@@ -947,23 +755,19 @@ Task<> NetStack::TcpSend(TcpConn& conn, const std::string& data) {
 }
 
 Task<> NetStack::TcpClose(TcpConn& conn) {
-  if (conn.state != TcpState::kLegacy) {
-    // Full FIN/ACK close handshake. Active close walks FIN_WAIT_1 →
-    // FIN_WAIT_2 → TIME_WAIT; closing after the peer's FIN walks CLOSE_WAIT
-    // → LAST_ACK → CLOSED.
-    if (conn.state == TcpState::kEstablished) {
-      LeaveState(conn);
-      conn.state = TcpState::kFinWait1;
-    } else if (conn.state == TcpState::kCloseWait) {
-      conn.state = TcpState::kLastAck;
-    } else {
-      co_return;  // half-open, already closing, or closed: nothing to send
-    }
-    conn.fin_sent = true;
-    conn.fin_seq = conn.snd_nxt;
-    co_await SendTcpSegment(conn, TcpFlags{.ack = true, .fin = true}, nullptr, 0);
-    co_return;
+  // Full FIN/ACK close handshake. Active close walks FIN_WAIT_1 → FIN_WAIT_2
+  // → TIME_WAIT; closing after the peer's FIN walks CLOSE_WAIT → LAST_ACK →
+  // CLOSED.
+  if (conn.state == TcpState::kEstablished) {
+    LeaveState(conn);
+    conn.state = TcpState::kFinWait1;
+  } else if (conn.state == TcpState::kCloseWait) {
+    conn.state = TcpState::kLastAck;
+  } else {
+    co_return;  // half-open, already closing, or closed: nothing to send
   }
+  conn.fin_sent = true;
+  conn.fin_seq = conn.snd_nxt;
   co_await SendTcpSegment(conn, TcpFlags{.ack = true, .fin = true}, nullptr, 0);
 }
 

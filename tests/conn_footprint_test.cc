@@ -102,10 +102,6 @@ TEST(ConnFootprint, HeldKeepAliveConnectionStaysUnderBudget) {
   hw::Machine machine(exec, hw::Amd2x2());
   net::NetStack server(machine, 3, kSrvIp, kSrvMac);
   net::NetStack client(machine, 0, kCliIp, kCliMac);
-  net::TcpLifecycle lc;
-  lc.enabled = true;
-  server.SetLifecycle(lc);
-  client.SetLifecycle(lc);
   server.AddArp(kCliIp, kCliMac);
   client.AddArp(kSrvIp, kSrvMac);
   server.SetOutput([&client](net::Packet p) -> Task<> { co_await client.Input(std::move(p)); });

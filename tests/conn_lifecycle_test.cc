@@ -1,14 +1,15 @@
-// Tests for the opt-in TCP lifecycle mode: true 3-way handshake, FIN/ACK
+// Tests for the TCP connection lifecycle: true 3-way handshake, FIN/ACK
 // close with bounded TIME_WAIT, SYN cookies under a half-open cap, abandoned
-// connect sweep with 4-tuple reuse, and close-cause accounting. Legacy mode
-// (the default) is covered by net_test; these tests all run with
-// SetLifecycle enabled on at least one side.
+// connect sweep with 4-tuple reuse, close-cause accounting, and retransmit
+// timers armed only under fault injection.
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fault/fault.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
 #include "net/stack.h"
@@ -37,14 +38,18 @@ struct LifecyclePair {
     b.SetLifecycle(server_lc);
     a.AddArp(kIpB, kMacB);
     b.AddArp(kIpA, kMacA);
+    // With a fault::Injector installed, a->b consults its TX-loss specs and
+    // b->a its RX-loss specs, so a plan can lose either direction.
     a.SetOutput([this](Packet p) -> Task<> {
-      if (drop_a_to_b) {
+      fault::Injector* inj = fault::Injector::active();
+      if (drop_a_to_b || (inj != nullptr && inj->ShouldDropTxFrame(exec.now()))) {
         co_return;
       }
       co_await b.Input(std::move(p));
     });
     b.SetOutput([this](Packet p) -> Task<> {
-      if (drop_b_to_a) {
+      fault::Injector* inj = fault::Injector::active();
+      if (drop_b_to_a || (inj != nullptr && inj->ShouldDropRxFrame(exec.now()))) {
         co_return;
       }
       co_await a.Input(std::move(p));
@@ -53,14 +58,12 @@ struct LifecyclePair {
 
   static TcpLifecycle DefaultServerLc() {
     TcpLifecycle lc;
-    lc.enabled = true;
     lc.time_wait = 100'000;
     lc.syn_rcvd_timeout = 500'000;
     return lc;
   }
   static TcpLifecycle DefaultClientLc() {
     TcpLifecycle lc;
-    lc.enabled = true;
     lc.time_wait = 100'000;
     return lc;
   }
@@ -294,6 +297,116 @@ TEST(ConnLifecycle, HalfOpenEvictionOnLostAck) {
   }(f));
   f.exec.Run();
   EXPECT_EQ(f.b.conn_table().live(), 0u);
+}
+
+// A storm of kStormConns connections that each send a tagged payload and
+// then all close at once through one server core. Every FIN costs the server
+// a receive and an ACK, so the storm queues ~1.2M cycles of work — far past
+// the 200k-cycle RTO.
+struct CloseStorm {
+  static constexpr int kStormConns = 256;
+  static constexpr Cycles kCloseAt = 20'000'000;
+  static constexpr std::size_t kPayload = 96;
+
+  CloseStorm() : f(StormServerLc()) {
+    auto& listener = f.b.TcpListen(80);
+    f.exec.Spawn(AcceptAll(*this, listener));
+    for (int i = 0; i < kStormConns; ++i) {
+      f.exec.Spawn(Client(*this, i));
+    }
+    f.exec.Run();
+  }
+
+  static TcpLifecycle StormServerLc() {
+    TcpLifecycle lc = LifecyclePair::DefaultServerLc();
+    lc.syn_rcvd_timeout = 50'000'000;  // the handshake storm must not evict
+    return lc;
+  }
+
+  static Task<> AcceptAll(CloseStorm& s, NetStack::Listener& l) {
+    for (int i = 0; i < kStormConns; ++i) {
+      s.f.exec.Spawn(Serve(s, co_await l.Accept()));
+    }
+  }
+
+  // Reads to end of stream, then closes its side (passive close).
+  static Task<> Serve(CloseStorm& s, NetStack::TcpConn* conn) {
+    std::vector<std::uint8_t>& got = s.received[conn->remote_port];
+    for (;;) {
+      std::vector<std::uint8_t> chunk = co_await conn->Read();
+      if (chunk.empty()) {
+        break;
+      }
+      got.insert(got.end(), chunk.begin(), chunk.end());
+    }
+    co_await s.f.b.TcpClose(*conn);
+    s.f.b.Release(conn);
+  }
+
+  // Connects, sends its payload, and closes at kCloseAt (active close).
+  static Task<> Client(CloseStorm& s, int i) {
+    NetStack::TcpConn* conn = co_await s.f.a.TcpConnect(kIpB, 80);
+    if (conn == nullptr) {
+      ADD_FAILURE() << "storm connect " << i << " failed";
+      co_return;
+    }
+    std::vector<std::uint8_t> payload(kPayload);
+    for (std::size_t k = 0; k < payload.size(); ++k) {
+      payload[k] = static_cast<std::uint8_t>(i * 31 + static_cast<int>(k));
+    }
+    s.sent[conn->local_port] = payload;
+    co_await s.f.a.TcpSend(*conn, payload.data(), payload.size());
+    if (s.f.exec.now() < kCloseAt) {
+      co_await s.f.exec.Delay(kCloseAt - s.f.exec.now());
+    }
+    co_await s.f.a.TcpClose(*conn);
+    s.f.a.Release(conn);
+  }
+
+  LifecyclePair f;
+  std::map<std::uint16_t, std::vector<std::uint8_t>> sent;      // by client port
+  std::map<std::uint16_t, std::vector<std::uint8_t>> received;  // by client port
+};
+
+// A lossless close storm that queues past the RTO retransmits nothing: no
+// segment can be lost without an injector, so the stack arms no retransmit
+// timer at all. The only wheel timers are the server's SYN_RCVD expiries
+// (all cancelled by the handshake ACK) and the client's TIME_WAIT reaps.
+TEST(ConnLifecycle, LosslessCloseStormRetransmitsNothing) {
+  CloseStorm s;
+  EXPECT_EQ(s.received, s.sent);
+  EXPECT_EQ(s.received.size(), static_cast<std::size_t>(CloseStorm::kStormConns));
+  EXPECT_EQ(s.f.a.tcp_retransmits(), 0u);
+  EXPECT_EQ(s.f.b.tcp_retransmits(), 0u);
+  EXPECT_EQ(s.f.a.wheel().fired(), s.f.a.time_wait_reaped());
+  EXPECT_EQ(s.f.b.wheel().fired(), 0u);
+  EXPECT_EQ(s.f.a.wheel().scheduled(), s.f.a.time_wait_reaped());
+  EXPECT_EQ(s.f.b.wheel().scheduled(), static_cast<std::uint64_t>(CloseStorm::kStormConns));
+  EXPECT_EQ(s.f.a.closes(CloseCause::kActiveFin),
+            static_cast<std::uint64_t>(CloseStorm::kStormConns));
+  EXPECT_EQ(s.f.b.closes(CloseCause::kPassiveFin),
+            static_cast<std::uint64_t>(CloseStorm::kStormConns));
+  EXPECT_EQ(s.f.a.conn_table().live(), 0u);
+  EXPECT_EQ(s.f.b.conn_table().live(), 0u);
+}
+
+// The same storm over a link that loses frames in both directions: the
+// injector arms the retransmit timers, and go-back-N delivers every byte.
+TEST(ConnLifecycle, LossyCloseStormRetransmitsAndDeliversEverything) {
+  fault::FaultPlan plan;
+  plan.RandomTxLoss(/*rate=*/0.05, /*seed=*/11);
+  plan.RandomRxLoss(/*rate=*/0.05, /*seed=*/12);
+  fault::Injector inj(plan);  // uninstalls itself on destruction
+  inj.Install();
+  CloseStorm s;
+  EXPECT_EQ(s.received, s.sent);
+  EXPECT_EQ(s.received.size(), static_cast<std::size_t>(CloseStorm::kStormConns));
+  EXPECT_GT(inj.injected(fault::FaultKind::kNicTxDrop), 0u);
+  EXPECT_GT(inj.injected(fault::FaultKind::kNicRxDrop), 0u);
+  EXPECT_GT(s.f.a.tcp_retransmits(), 0u);
+  EXPECT_GT(s.f.b.tcp_retransmits(), 0u);
+  EXPECT_EQ(s.f.a.conn_table().live(), 0u);
+  EXPECT_EQ(s.f.b.conn_table().live(), 0u);
 }
 
 }  // namespace

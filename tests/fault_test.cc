@@ -350,8 +350,8 @@ TEST(TcpRetransmit, GoBackNDeliversEverythingOverALossyLink) {
 }
 
 TEST(TcpRetransmit, LosslessRunsScheduleNoTimerAndRetransmitNothing) {
-  // Same transfer with an injector installed but an empty plan: the timer
-  // coroutine may arm, but nothing is lost, so nothing retransmits.
+  // Same transfer with an injector installed but an empty plan: the
+  // retransmit timer arms, but nothing is lost, so nothing retransmits.
   fault::FaultPlan plan;
   ScopedInjector s(plan);
   LossyStackPair f;

@@ -124,7 +124,6 @@ struct KeepAliveFixture {
         client_stack(machine, 2, kCliIp, kCliMac),
         server(machine, server_stack, 80) {
     net::TcpLifecycle lc;
-    lc.enabled = true;
     lc.time_wait = 100'000;
     server_stack.SetLifecycle(lc);
     client_stack.SetLifecycle(lc);

@@ -500,7 +500,7 @@ TEST(DbFailover, RespawnCopiesTheLiveDonorAndGatesQueriesUntilCaughtUp) {
 
 Packet MidFlowAck(Ipv4Addr src_ip, Ipv4Addr dst_ip, std::uint16_t src_port,
                   std::uint16_t dst_port, std::uint32_t seq, std::uint32_t ack,
-                  const std::string& payload) {
+                  const std::string& payload, bool rst = false) {
   net::EthHeader eth{kMacB, kMacA, net::kEtherTypeIpv4};
   net::IpHeader ip;
   ip.protocol = net::kIpProtoTcp;
@@ -512,12 +512,13 @@ Packet MidFlowAck(Ipv4Addr src_ip, Ipv4Addr dst_ip, std::uint16_t src_port,
   tcp.seq = seq;
   tcp.ack = ack;
   tcp.flags.ack = true;
+  tcp.flags.rst = rst;
   return net::BuildTcpFrame(eth, ip, tcp,
                             reinterpret_cast<const std::uint8_t*>(payload.data()),
                             payload.size());
 }
 
-TEST(FailoverRst, UnknownFlowSegmentDrawsRstOnlyWhenOptedInUnderInjection) {
+TEST(FailoverRst, UnknownMidFlowSegmentDrawsOneRstAndAnRstDrawsNone) {
   sim::Executor exec;
   hw::Machine m(exec, hw::Amd2x2());
   net::NetStack stack(m, 0, kIpB, kMacB);
@@ -528,45 +529,35 @@ TEST(FailoverRst, UnknownFlowSegmentDrawsRstOnlyWhenOptedInUnderInjection) {
     outs.push_back(std::move(p));
     co_return;
   });
+  auto input = [&exec, &stack](Packet f) {
+    exec.Spawn([](net::NetStack& st, Packet p) -> Task<> {
+      co_await st.Input(std::move(p));
+    }(stack, std::move(f)));
+    exec.Run();
+  };
   // A mid-flow segment from a connection this stack has never seen — what a
-  // survivor receives the instant the RETA re-steers a dead shard's flow.
-  Packet orphan = MidFlowAck(kIpA, kIpB, 5555, 80, /*seq=*/1000, /*ack=*/2000, "GET");
-  // Opted in but no injector: plain runs must not schedule the extra send.
-  stack.SetSendRstForUnknown(true);
-  exec.Spawn([](net::NetStack& st, Packet f) -> Task<> {
-    co_await st.Input(std::move(f));
-  }(stack, orphan));
-  exec.Run();
+  // survivor receives the instant the RETA re-steers a dead shard's flow,
+  // and what a late segment of an erased connection looks like. No injector
+  // is installed: the reset is the stack's one rule for unknown flows.
+  input(MidFlowAck(kIpA, kIpB, 5555, 80, /*seq=*/1000, /*ack=*/2000, "GET"));
+  ASSERT_EQ(outs.size(), 1u);
+  EXPECT_EQ(stack.tcp_rsts_sent(), 1u);
+  auto parsed = net::ParseFrame(outs[0]);
+  ASSERT_TRUE(parsed.has_value());
+  ASSERT_TRUE(parsed->tcp.has_value());
+  EXPECT_TRUE(parsed->tcp->flags.rst);
+  EXPECT_EQ(parsed->tcp->src_port, 80);
+  EXPECT_EQ(parsed->tcp->dst_port, 5555);
+  EXPECT_EQ(parsed->tcp->seq, 2000u);       // takes the segment's ack
+  EXPECT_EQ(parsed->tcp->ack, 1000u + 3u);  // seq + payload length
+  EXPECT_EQ(stack.conn_table().live(), 0u);  // no state was created
+  // An RST for an unknown flow is never answered: two stacks that both
+  // forgot a flow must not ping-pong resets.
+  outs.clear();
+  input(MidFlowAck(kIpA, kIpB, 5556, 80, /*seq=*/1000, /*ack=*/2000, "", /*rst=*/true));
   EXPECT_TRUE(outs.empty());
-  EXPECT_EQ(stack.tcp_rsts_sent(), 0u);
-  {
-    fault::FaultPlan plan;
-    ScopedInjector s(plan);
-    exec.Spawn([](net::NetStack& st, Packet f) -> Task<> {
-      co_await st.Input(std::move(f));
-    }(stack, orphan));
-    exec.Run();
-    ASSERT_EQ(outs.size(), 1u);
-    EXPECT_EQ(stack.tcp_rsts_sent(), 1u);
-    auto parsed = net::ParseFrame(outs[0]);
-    ASSERT_TRUE(parsed.has_value());
-    ASSERT_TRUE(parsed->tcp.has_value());
-    EXPECT_TRUE(parsed->tcp->flags.rst);
-    EXPECT_EQ(parsed->tcp->src_port, 80);
-    EXPECT_EQ(parsed->tcp->dst_port, 5555);
-    EXPECT_EQ(parsed->tcp->seq, 2000u);       // takes the segment's ack
-    EXPECT_EQ(parsed->tcp->ack, 1000u + 3u);  // seq + payload length
-    // Without the opt-in the same segment is silently dropped (injector or
-    // not): the RST path is a failover behaviour, never a default one.
-    outs.clear();
-    stack.SetSendRstForUnknown(false);
-    exec.Spawn([](net::NetStack& st, Packet f) -> Task<> {
-      co_await st.Input(std::move(f));
-    }(stack, orphan));
-    exec.Run();
-    EXPECT_TRUE(outs.empty());
-    EXPECT_EQ(stack.tcp_rsts_sent(), 1u);
-  }
+  EXPECT_EQ(stack.tcp_rsts_sent(), 1u);
+  EXPECT_EQ(stack.conn_table().live(), 0u);
 }
 
 TEST(FailoverRst, LateSynAckForAnAbandonedHandshakeIsAnsweredWithRst) {
@@ -627,8 +618,8 @@ TEST(FailoverRst, LateSynAckForAnAbandonedHandshakeIsAnsweredWithRst) {
   exec.Run();
   EXPECT_TRUE(connect_failed);
   EXPECT_EQ(client.tcp_rsts_sent(), 1u);
-  // Regression for the abandonment path: the retransmit timer spawned for the
-  // SYN must find the connection alive (never erased) and exit cleanly.
+  // Regression for the abandonment path: the swept connection's timers were
+  // cancelled with it, so nothing is left behind.
   EXPECT_EQ(exec.pending_events(), 0u);
   EXPECT_EQ(exec.live_tasks(), 0u);
 }
