@@ -17,21 +17,19 @@ using sim::Addr;
 using sim::Cycles;
 using sim::Task;
 
+// Positions in PaperPlatforms().
+enum : std::size_t { kIntel2x4, kAmd2x2, kAmd4x4, kAmd8x4 };
+
+// The platform is an index, not a name pointer: gtest names a parameter
+// without a printer by its raw bytes, and a pointer's bytes move with the
+// load address, so the test names would differ from one build or run to the
+// next.
 struct FuzzConfig {
-  const char* platform;
+  std::size_t platform;
   std::uint64_t seed;
   int lines;
   int ops_per_core;
 };
-
-PlatformSpec SpecByName(const char* name) {
-  for (auto& s : PaperPlatforms()) {
-    if (s.name == std::string_view(name)) {
-      return s;
-    }
-  }
-  return Generic(2, 2);
-}
 
 Task<> FuzzWorker(Machine& m, int core, Addr base, int lines, int ops, std::uint64_t seed) {
   sim::Rng rng(seed ^ (static_cast<std::uint64_t>(core) << 32));
@@ -62,7 +60,7 @@ class CoherenceFuzz : public ::testing::TestWithParam<FuzzConfig> {};
 TEST_P(CoherenceFuzz, InvariantsHoldUnderRandomTraffic) {
   const FuzzConfig& cfg = GetParam();
   sim::Executor exec;
-  Machine m(exec, SpecByName(cfg.platform));
+  Machine m(exec, PaperPlatforms().at(cfg.platform));
   Addr base = m.mem().AllocLines(0, static_cast<std::uint64_t>(cfg.lines));
   for (int c = 0; c < m.num_cores(); ++c) {
     exec.Spawn(FuzzWorker(m, c, base, cfg.lines, cfg.ops_per_core, cfg.seed));
@@ -104,7 +102,7 @@ TEST_P(CoherenceFuzz, DeterministicReplay) {
   const FuzzConfig& cfg = GetParam();
   auto run = [&cfg] {
     sim::Executor exec;
-    Machine m(exec, SpecByName(cfg.platform));
+    Machine m(exec, PaperPlatforms().at(cfg.platform));
     Addr base = m.mem().AllocLines(0, static_cast<std::uint64_t>(cfg.lines));
     for (int c = 0; c < m.num_cores(); ++c) {
       exec.Spawn(FuzzWorker(m, c, base, cfg.lines, cfg.ops_per_core, cfg.seed));
@@ -119,14 +117,14 @@ TEST_P(CoherenceFuzz, DeterministicReplay) {
 
 INSTANTIATE_TEST_SUITE_P(
     Platforms, CoherenceFuzz,
-    ::testing::Values(FuzzConfig{"2x4-core Intel", 1, 8, 150},
-                      FuzzConfig{"2x2-core AMD", 2, 4, 200},
-                      FuzzConfig{"4x4-core AMD", 3, 16, 120},
-                      FuzzConfig{"8x4-core AMD", 4, 32, 80},
-                      FuzzConfig{"8x4-core AMD", 5, 1, 120},   // single hot line
-                      FuzzConfig{"4x4-core AMD", 6, 256, 60}), // sparse
+    ::testing::Values(FuzzConfig{kIntel2x4, 1, 8, 150},
+                      FuzzConfig{kAmd2x2, 2, 4, 200},
+                      FuzzConfig{kAmd4x4, 3, 16, 120},
+                      FuzzConfig{kAmd8x4, 4, 32, 80},
+                      FuzzConfig{kAmd8x4, 5, 1, 120},   // single hot line
+                      FuzzConfig{kAmd4x4, 6, 256, 60}), // sparse
     [](const ::testing::TestParamInfo<FuzzConfig>& info) {
-      std::string name = info.param.platform;
+      std::string name = PaperPlatforms().at(info.param.platform).name;
       for (char& ch : name) {
         if (!std::isalnum(static_cast<unsigned char>(ch))) {
           ch = '_';
