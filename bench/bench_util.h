@@ -13,10 +13,17 @@
 #include <vector>
 
 #include "net/stack.h"
+#include "sim/task.h"
 #include "trace/export.h"
 #include "trace/trace.h"
 
 namespace mk::bench {
+
+// Addresses of the serving benches' web server and client cluster.
+constexpr net::Ipv4Addr kServerIp = net::MakeIp(10, 0, 0, 1);
+constexpr net::Ipv4Addr kClientIp = net::MakeIp(10, 0, 0, 77);
+const net::MacAddr kServerMac{2, 0, 0, 0, 0, 1};
+const net::MacAddr kClientMac{2, 0, 0, 0, 0, 77};
 
 // --trace=<file> / --trace-categories=<list> / --trace-capacity=<n> flags,
 // shared by every paper bench. A bench constructs a TraceSession from the
@@ -180,6 +187,23 @@ inline net::StackCosts FreeCosts() {
   c.per_packet_out = 0;
   c.per_byte_checksum = 0;
   return c;
+}
+
+// One closed-loop request, the httperf discipline of the §5.4 clients:
+// connect to `server` port 80, send an HTTP/1.0 GET for `target`, read until
+// the server closes, then close and release the connection.
+inline sim::Task<> GetAndClose(net::NetStack& client, net::Ipv4Addr server,
+                               std::string target) {
+  net::NetStack::TcpConn* conn = co_await client.TcpConnect(server, 80);
+  co_await client.TcpSend(*conn, "GET " + target + " HTTP/1.0\r\n\r\n");
+  while (!conn->peer_closed) {
+    auto chunk = co_await conn->Read();
+    if (chunk.empty()) {
+      break;
+    }
+  }
+  co_await client.TcpClose(*conn);
+  client.Release(conn);
 }
 
 inline void PrintHeader(const std::string& title) {

@@ -324,7 +324,8 @@ void BM_HeldConnectionFootprint(benchmark::State& state) {
   constexpr int kHeld = 1000;
   apps::HttpResponse page;
   page.body = apps::StaticIndexPage();
-  const std::size_t response_bytes = apps::RenderHttpResponse11(page, true).size();
+  const std::size_t response_bytes =
+      apps::RenderHttpResponse(page, /*http11=*/true, /*keep_alive=*/true).size();
   double bytes_per_conn = 0;
   double allocs_per_conn = 0;
   for (auto _ : state) {

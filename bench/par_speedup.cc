@@ -52,11 +52,6 @@ using net::Packet;
 using sim::Cycles;
 using sim::Task;
 
-constexpr net::Ipv4Addr kServerIp = net::MakeIp(10, 0, 0, 1);
-constexpr net::Ipv4Addr kClientIp = net::MakeIp(10, 0, 0, 77);
-const net::MacAddr kServerMac{2, 0, 0, 0, 0, 1};
-const net::MacAddr kClientMac{2, 0, 0, 0, 0, 77};
-
 constexpr int kServicesCore = 0;  // client cluster stand-in
 constexpr int kDriverCore = 2;
 constexpr int kServerCore = 3;
@@ -85,19 +80,21 @@ struct RunMeasure {
 // ---------------------------------------------------------------------------
 // Workload 1: partitioned section 5.4 serving ring.
 
-// One domain's world: the sec54_scaleout crosscheck pipeline (client stack
+// One domain's world: sec54_webserver's static pipeline (client stack
 // and server stack wired back-to-back through a driver-core charge, httpd,
 // closed-loop clients) plus a gossip NIC facing the inter-domain ring.
 struct ServeWorld {
   ServeWorld(sim::Executor& exec, int domain)
       : machine(exec, hw::Amd2x2()),
-        server(machine, kServerCore, kServerIp, kServerMac, net::StackCosts{}),
-        client(machine, kServicesCore, kClientIp, kClientMac, bench::FreeCosts()),
+        server(machine, kServerCore, bench::kServerIp, bench::kServerMac,
+               net::StackCosts{}),
+        client(machine, kServicesCore, bench::kClientIp, bench::kClientMac,
+               bench::FreeCosts()),
         gossip_nic(machine, GossipConfig()),
         http(machine, server, 80, {}),
         domain_id(domain) {
-    server.AddArp(kClientIp, kClientMac);
-    client.AddArp(kServerIp, kServerMac);
+    server.AddArp(bench::kClientIp, bench::kClientMac);
+    client.AddArp(bench::kServerIp, bench::kServerMac);
     server.SetOutput([this](Packet p) -> Task<> {
       co_await machine.Compute(kDriverCore, kDriverFrameCost);
       co_await client.Input(std::move(p));
@@ -127,16 +124,7 @@ struct ServeWorld {
 
 Task<> ServeClient(ServeWorld& w, int requests) {
   for (int r = 0; r < requests; ++r) {
-    net::NetStack::TcpConn* conn = co_await w.client.TcpConnect(kServerIp, 80);
-    co_await w.client.TcpSend(*conn, "GET /index.html HTTP/1.0\r\n\r\n");
-    while (!conn->peer_closed) {
-      auto chunk = co_await conn->Read();
-      if (chunk.empty()) {
-        break;
-      }
-    }
-    co_await w.client.TcpClose(*conn);
-    w.client.Release(conn);
+    co_await bench::GetAndClose(w.client, bench::kServerIp, "/index.html");
     ++w.requests_done;
   }
 }

@@ -24,17 +24,15 @@
 #include "bench_util.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
-#include "net/packet_channel.h"
 #include "net/stack.h"
+#include "sec54_webserver.h"
 #include "serving_harness.h"
 #include "sim/executor.h"
 #include "sim/random.h"
-#include "urpc/channel.h"
 
 namespace mk {
 namespace {
 
-using net::Packet;
 using sim::Cycles;
 using sim::Task;
 
@@ -147,105 +145,6 @@ void RunSweep(const char* title, const hw::PlatformSpec& spec, int max_shards,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Crosscheck: the 1-shard configuration must reproduce sec54_webserver's
-// static-page number. This is that bench's static Barrelfish scenario,
-// reproduced exactly (same 2x2 machine, placement, costs, and closed-loop
-// clients), so the two binaries print the same figure.
-
-namespace crosscheck {
-
-constexpr int kServicesCore = 0;
-constexpr int kDbCore = 1;
-constexpr int kDriverCore = 2;
-constexpr int kServerCore = 3;
-
-struct DbService {
-  DbService(hw::Machine& m, int items)
-      : queries(m, kServerCore, kDbCore),
-        replies(m, kDbCore, kServerCore, net::PacketChannel::Options{}) {
-    apps::PopulateTpcw(&db, items);
-  }
-  apps::Database db;
-  urpc::Channel queries;
-  net::PacketChannel replies;
-};
-
-double RunStaticScenario() {
-  sim::Executor exec;
-  hw::Machine m(exec, hw::Amd2x2());
-
-  net::NetStack server(m, kServerCore, bench::kServerIp, bench::kServerMac,
-                       net::StackCosts{});
-  net::NetStack client(m, kServicesCore, bench::kClientIp, bench::kClientMac,
-                       bench::FreeCosts());
-  server.AddArp(bench::kClientIp, bench::kClientMac);
-  client.AddArp(bench::kServerIp, bench::kServerMac);
-
-  const Cycles driver_cost = 1400;
-  server.SetOutput([&m, &client, driver_cost](Packet p) -> Task<> {
-    co_await m.Compute(kDriverCore, driver_cost);
-    co_await client.Input(std::move(p));
-  });
-  client.SetOutput([&m, &server, driver_cost](Packet p) -> Task<> {
-    co_await m.Compute(kDriverCore, driver_cost);
-    co_await server.Input(std::move(p));
-  });
-
-  DbService db_service(m, kDbItems);
-  sim::Semaphore db_rpc_slot(exec, 1);
-
-  apps::HttpServer http(
-      m, server, 80,
-      [&db_service, &db_rpc_slot](std::string sql) -> Task<std::string> {
-        co_await db_rpc_slot.Acquire();
-        for (std::size_t off = 0; off < sql.size();
-             off += urpc::Message::kPayloadBytes) {
-          urpc::Message msg;
-          msg.tag = off + urpc::Message::kPayloadBytes >= sql.size() ? 1 : 2;
-          msg.len = static_cast<std::uint32_t>(
-              std::min(urpc::Message::kPayloadBytes, sql.size() - off));
-          std::memcpy(msg.bytes.data(), sql.data() + off, msg.len);
-          co_await db_service.queries.Send(msg);
-        }
-        Packet reply = co_await db_service.replies.Recv();
-        db_rpc_slot.Release();
-        co_return std::string(reply.begin(), reply.end());
-      },
-      60000);
-
-  exec.Spawn(http.Serve());
-
-  const int kClients = 8;
-  const int kRequestsPerClient = 25;
-  int done = 0;
-  for (int c = 0; c < kClients; ++c) {
-    exec.Spawn([](net::NetStack& cl, int requests, int* finished,
-                  std::uint64_t seed) -> Task<> {
-      sim::Rng prng(seed);
-      (void)prng;
-      for (int r = 0; r < requests; ++r) {
-        net::NetStack::TcpConn* conn = co_await cl.TcpConnect(bench::kServerIp, 80);
-        co_await cl.TcpSend(*conn, "GET /index.html HTTP/1.0\r\n\r\n");
-        while (!conn->peer_closed) {
-          auto chunk = co_await conn->Read();
-          if (chunk.empty()) {
-            break;
-          }
-        }
-        co_await cl.TcpClose(*conn);
-        cl.Release(conn);
-      }
-      ++*finished;
-    }(client, kRequestsPerClient, &done, 1000 + c));
-  }
-  Cycles elapsed = exec.Run();
-  double seconds = static_cast<double>(elapsed) / (m.spec().clock_ghz * 1e9);
-  return kClients * kRequestsPerClient / seconds;
-}
-
-}  // namespace crosscheck
-
 }  // namespace
 }  // namespace mk
 
@@ -279,7 +178,9 @@ int main(int argc, char** argv) {
              /*interval_per_shard=*/1'250'000);
   }
 
-  double xcheck = crosscheck::RunStaticScenario();
+  // Crosscheck: the 1-shard configuration must reproduce sec54_webserver's
+  // static-page number, so run that bench's static Barrelfish scenario.
+  double xcheck = bench::webserver::RunScenario({});
   std::printf("\ncrosscheck: 1-shard static config on the 2x2 webserver placement: "
               "%.0f req/s\n(must match sec54_webserver's \"Barrelfish static 4.1KB "
               "page\" figure)\n", xcheck);

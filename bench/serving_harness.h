@@ -43,11 +43,6 @@ namespace mk::bench {
 using sim::Cycles;
 using sim::Task;
 
-constexpr net::Ipv4Addr kServerIp = net::MakeIp(10, 0, 0, 1);
-constexpr net::Ipv4Addr kClientIp = net::MakeIp(10, 0, 0, 77);
-const net::MacAddr kServerMac{2, 0, 0, 0, 0, 1};
-const net::MacAddr kClientMac{2, 0, 0, 0, 0, 77};
-
 // Per-frame driver work on the core that drains (or fills) a NIC queue.
 constexpr Cycles kDriverFrameCost = 1400;
 

@@ -8,11 +8,8 @@
 
 namespace mk::apps {
 bool ParseHttpRequest(const std::string& text, HttpRequest* out) {
-  std::size_t line_end = text.find("\r\n");
-  if (line_end == std::string::npos) {
-    line_end = text.find('\n');
-  }
-  std::string line = text.substr(0, line_end);
+  // A CRLF line's '\r' is whitespace to the tokenizer below.
+  std::string line = text.substr(0, text.find('\n'));
   if (line.size() > kMaxRequestBytes) {
     return false;  // request line alone exceeds the buffer cap
   }
@@ -36,19 +33,10 @@ bool ParseHttpRequest(const std::string& text, HttpRequest* out) {
   return true;
 }
 
-std::string RenderHttpResponse(const HttpResponse& resp) {
+std::string RenderHttpResponse(const HttpResponse& resp, bool http11, bool keep_alive) {
   std::ostringstream oss;
-  oss << "HTTP/1.0 " << resp.status << (resp.status == 200 ? " OK" : " Error") << "\r\n"
-      << "Content-Type: " << resp.content_type << "\r\n"
-      << "Content-Length: " << resp.body.size() << "\r\n"
-      << "Connection: close\r\n\r\n"
-      << resp.body;
-  return oss.str();
-}
-
-std::string RenderHttpResponse11(const HttpResponse& resp, bool keep_alive) {
-  std::ostringstream oss;
-  oss << "HTTP/1.1 " << resp.status << (resp.status == 200 ? " OK" : " Error") << "\r\n"
+  oss << (http11 ? "HTTP/1.1 " : "HTTP/1.0 ") << resp.status
+      << (resp.status == 200 ? " OK" : " Error") << "\r\n"
       << "Content-Type: " << resp.content_type << "\r\n"
       << "Content-Length: " << resp.body.size() << "\r\n"
       << "Connection: " << (keep_alive ? "keep-alive" : "close") << "\r\n\r\n"
@@ -57,26 +45,37 @@ std::string RenderHttpResponse11(const HttpResponse& resp, bool keep_alive) {
 }
 
 void HttpRequestFramer::Append(const std::uint8_t* data, std::size_t len) {
-  if (overflowed_ || len == 0) {
+  if (rejected_ || len == 0) {
     return;
   }
   buf_.append(reinterpret_cast<const char*>(data), len);
   if (next_end_ == std::string::npos) {
     Rescan(scan_from_);
   }
-  if (next_end_ == std::string::npos && buf_.size() > kMaxRequestBytes) {
-    overflowed_ = true;
-  }
 }
 
 void HttpRequestFramer::Rescan(std::size_t from) {
-  // The terminator may straddle the previous chunk's tail: back up by up to
+  next_end_ = std::string::npos;
+  // The head request's first line is checked once, as soon as it is whole,
+  // so a garbage line is answered at once instead of waiting for a blank
+  // line (or the header deadline) that may never come.
+  if (!line_checked_ && buf_.find('\n', from) != std::string::npos) {
+    line_checked_ = true;
+    HttpRequest req;
+    if (!ParseHttpRequest(buf_, &req)) {
+      rejected_ = true;
+      return;
+    }
+  }
+  // The blank line may straddle the previous chunk's tail: back up by up to
   // three bytes so a split "\r\n\r\n" is still found exactly once.
   std::size_t start = from > 3 ? from - 3 : 0;
   std::size_t pos = buf_.find("\r\n\r\n", start);
   if (pos == std::string::npos) {
-    next_end_ = std::string::npos;
     scan_from_ = buf_.size();
+    if (buf_.size() > kMaxRequestBytes) {
+      rejected_ = true;  // no blank line within the cap
+    }
   } else {
     next_end_ = pos + 4;
   }
@@ -91,12 +90,8 @@ bool HttpRequestFramer::PopRequest(std::string* out) {
   if (buf_.empty()) {
     std::string().swap(buf_);  // an idle keep-alive connection holds no buffer
   }
-  scan_from_ = 0;
+  line_checked_ = false;
   Rescan(0);
-  // A pipelined remainder must respect the cap on its own.
-  if (next_end_ == std::string::npos && buf_.size() > kMaxRequestBytes) {
-    overflowed_ = true;
-  }
   return true;
 }
 
@@ -194,55 +189,17 @@ Task<HttpResponse> HttpServer::Handle(const HttpRequest& req) {
   co_return resp;
 }
 
-Task<> HttpServer::HandlerFor(net::NetStack::TcpConn* conn) {
-  return keep_.enabled ? ServeConnectionKeepAlive(conn) : ServeConnection(conn);
-}
-
 Task<> HttpServer::ServeConnection(net::NetStack::TcpConn* conn) {
-  std::string request_text;
-  while (true) {
-    std::vector<std::uint8_t> chunk = co_await conn->Read();
-    if (chunk.empty()) {
-      co_return;  // peer closed before a full request
-    }
-    request_text.append(chunk.begin(), chunk.end());
-    if (request_text.find("\r\n\r\n") != std::string::npos ||
-        request_text.find('\n') != std::string::npos ||
-        request_text.size() > kMaxRequestBytes) {
-      break;
-    }
-  }
-  if (ServingCoreHalted(machine_, stack_.core())) {
-    co_return;  // fail-stop mid-request: the client never hears back
-  }
-  HttpRequest req;
-  HttpResponse resp;
-  if (request_text.size() > kMaxRequestBytes ||
-      !ParseHttpRequest(request_text, &req)) {
-    resp.status = 400;
-    resp.body = "bad request";
-  } else {
-    resp = co_await Handle(req);
-  }
-  if (ServingCoreHalted(machine_, stack_.core())) {
-    co_return;
-  }
-  co_await stack_.TcpSend(*conn, RenderHttpResponse(resp));
-  co_await stack_.TcpClose(*conn);
-  stack_.Release(conn);
-}
-
-Task<> HttpServer::ServeConnectionKeepAlive(net::NetStack::TcpConn* conn) {
   // This frame lives as long as the connection is held, so it keeps only
   // what an idle connection needs. A request's parse, response and render
-  // live in ServeBurst's frame, the closing reply in FinishKeepAlive's.
+  // live in ServeBurst's frame, the closing reply in CloseConnection's.
   HttpRequestFramer framer;
   int served_on_conn = 0;
   Cycles request_start = 0;
   int final_status = 0;  // answered before the close: 0 = none, 400 or 408
   while (true) {
     // Accumulate bytes until a complete request, a deadline, or a close.
-    if (!framer.HasRequest() && !framer.overflowed()) {
+    if (!framer.HasRequest() && !framer.rejected()) {
       Cycles wait = 0;
       if (framer.buffered() == 0) {
         wait = keep_.idle_timeout;
@@ -288,7 +245,7 @@ Task<> HttpServer::ServeConnectionKeepAlive(net::NetStack::TcpConn* conn) {
       conn->rx.clear();
       continue;
     }
-    if (framer.overflowed()) {
+    if (framer.rejected()) {
       ++bad_requests_;
       final_status = 400;
       break;
@@ -304,7 +261,7 @@ Task<> HttpServer::ServeConnectionKeepAlive(net::NetStack::TcpConn* conn) {
       request_start = machine_.exec().now();  // partial next request began now
     }
   }
-  co_await FinishKeepAlive(conn, final_status);
+  co_await CloseConnection(conn, final_status);
 }
 
 Task<HttpServer::BurstEnd> HttpServer::ServeBurst(net::NetStack::TcpConn* conn,
@@ -316,19 +273,12 @@ Task<HttpServer::BurstEnd> HttpServer::ServeBurst(net::NetStack::TcpConn* conn,
   int burst = 0;
   std::string text;
   while (framer.PopRequest(&text)) {
-    bool last = false;
     HttpRequest req;
-    HttpResponse resp;
-    if (!ParseHttpRequest(text, &req)) {
-      ++bad_requests_;
-      resp.status = 400;
-      resp.body = "bad request";
-      last = true;
-    } else {
-      resp = co_await Handle(req);
-    }
+    ParseHttpRequest(text, &req);  // cannot fail: the framer rejects a bad line
+    HttpResponse resp = co_await Handle(req);
     ++served_on_conn;
     ++burst;
+    bool last = !keep_.enabled;  // HTTP/1.0: one request per connection
     if (!last && keep_.max_requests > 0 && served_on_conn >= keep_.max_requests) {
       ++budget_closes_;  // per-connection request budget exhausted
       last = true;
@@ -341,7 +291,7 @@ Task<HttpServer::BurstEnd> HttpServer::ServeBurst(net::NetStack::TcpConn* conn,
     if (ServingCoreHalted(machine_, stack_.core())) {
       co_return BurstEnd::kHalted;
     }
-    co_await stack_.TcpSend(*conn, RenderHttpResponse11(resp, !last));
+    co_await stack_.TcpSend(*conn, RenderHttpResponse(resp, keep_.enabled, !last));
     if (last) {
       co_return BurstEnd::kClose;
     }
@@ -349,27 +299,15 @@ Task<HttpServer::BurstEnd> HttpServer::ServeBurst(net::NetStack::TcpConn* conn,
   co_return BurstEnd::kOpen;
 }
 
-Task<> HttpServer::FinishKeepAlive(net::NetStack::TcpConn* conn, int status) {
+Task<> HttpServer::CloseConnection(net::NetStack::TcpConn* conn, int status) {
   if (status != 0) {
     HttpResponse resp;
     resp.status = status;
-    resp.body = status == 408 ? "request timeout" : "bad request";
-    co_await stack_.TcpSend(*conn, RenderHttpResponse11(resp, false));
+    resp.body = status == 503 ? "overloaded"
+                : status == 408 ? "request timeout"
+                                : "bad request";
+    co_await stack_.TcpSend(*conn, RenderHttpResponse(resp, keep_.enabled));
   }
-  co_await stack_.TcpClose(*conn);
-  stack_.Release(conn);
-}
-
-Task<> HttpServer::ShedConnection(net::NetStack::TcpConn* conn) {
-  HttpResponse resp;
-  resp.status = 503;
-  resp.body = "overloaded";
-  // Named local, not a ternary inside the co_await: a conditional operator's
-  // class-type temporary in an await expression trips a GCC coroutine
-  // frame-cleanup bug (both branch cleanups run -> double free).
-  std::string payload = keep_.enabled ? RenderHttpResponse11(resp, false)
-                                      : RenderHttpResponse(resp);
-  co_await stack_.TcpSend(*conn, payload);
   co_await stack_.TcpClose(*conn);
   stack_.Release(conn);
 }
@@ -390,10 +328,10 @@ Task<> HttpServer::Worker() {
       trace::Emit<trace::Category::kRecover>(trace::EventId::kRecoverShed,
                                              machine_.exec().now(), stack_.core(),
                                              /*cause=*/1);
-      co_await ShedConnection(conn);
+      co_await CloseConnection(conn, 503);
       continue;
     }
-    co_await HandlerFor(conn);
+    co_await ServeConnection(conn);
   }
 }
 
@@ -405,7 +343,7 @@ Task<> HttpServer::Serve() {
   while (true) {
     net::NetStack::TcpConn* conn = co_await listener.Accept();
     if (admission_.workers == 0) {
-      machine_.exec().Spawn(HandlerFor(conn));  // legacy: unbounded
+      machine_.exec().Spawn(ServeConnection(conn));  // legacy: unbounded
       continue;
     }
     if (ServingCoreHalted(machine_, stack_.core())) {
@@ -417,7 +355,7 @@ Task<> HttpServer::Serve() {
       trace::Emit<trace::Category::kRecover>(trace::EventId::kRecoverShed,
                                              machine_.exec().now(), stack_.core(),
                                              /*cause=*/0);
-      machine_.exec().Spawn(ShedConnection(conn));
+      machine_.exec().Spawn(CloseConnection(conn, 503));
       continue;
     }
     pending_.emplace_back(conn, machine_.exec().now());

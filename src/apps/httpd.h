@@ -1,5 +1,7 @@
-// HTTP/1.0 web server for the section 5.4 workload: serves a static page and
-// web-based SELECT queries forwarded to the database process over URPC.
+// Web server for the section 5.4 workload: serves a static page and
+// web-based SELECT queries forwarded to the database process over URPC. One
+// connection loop serves both disciplines: HTTP/1.0 (one request, then
+// close; the paper's benches) and HTTP/1.1 keep-alive (HttpServer::KeepAlive).
 #ifndef MK_APPS_HTTPD_H_
 #define MK_APPS_HTTPD_H_
 
@@ -26,9 +28,9 @@ struct HttpRequest {
   std::string query;  // after '?'
 };
 
-// Cap on buffered request bytes before the server gives up on finding a
-// request terminator and answers 400: an attacker (or a corrupted length
-// field) must not be able to grow a connection's buffer without bound.
+// Cap on buffered request bytes before the server gives up on finding the
+// blank line that ends a request and answers 400: an attacker (or a corrupted
+// length field) must not be able to grow a connection's buffer without bound.
 inline constexpr std::size_t kMaxRequestBytes = 8192;
 
 struct HttpResponse {
@@ -37,44 +39,47 @@ struct HttpResponse {
   std::string content_type = "text/html";
 };
 
-// Parses the request line of an HTTP/1.0 request; false if malformed.
+// Parses the request line (the text up to the first '\n') of an HTTP
+// request; false if malformed.
 bool ParseHttpRequest(const std::string& text, HttpRequest* out);
 
-// Renders a response with headers.
-std::string RenderHttpResponse(const HttpResponse& resp);
+// Renders a response with headers. An HTTP/1.0 response always says
+// "Connection: close"; an HTTP/1.1 one advertises keep-alive unless it is the
+// connection's last response. Golden transcripts depend on the exact bytes.
+std::string RenderHttpResponse(const HttpResponse& resp, bool http11 = false,
+                               bool keep_alive = false);
 
-// HTTP/1.1 variant: advertises keep-alive (or an explicit close on the
-// connection's last response). The legacy HTTP/1.0 renderer above is
-// untouched — golden transcripts depend on its exact bytes.
-std::string RenderHttpResponse11(const HttpResponse& resp, bool keep_alive);
-
-// Incremental request framer for keep-alive connections: bytes arrive in
-// arbitrary segment-sized chunks, possibly carrying several pipelined
-// requests back to back, possibly splitting one request (or its "\r\n\r\n"
-// terminator) across chunk boundaries. The framer's contract is that the
-// sequence of popped requests depends only on the concatenated byte stream,
-// never on where the chunk boundaries fell (the fuzz test asserts this).
-// A stream that exceeds kMaxRequestBytes without completing a request sets
-// overflowed() and the connection is answered 400 and closed.
+// Incremental request framer: bytes arrive in arbitrary segment-sized
+// chunks, possibly carrying several pipelined requests back to back, possibly
+// splitting one request (or its blank line) across chunk boundaries. The one
+// end-of-request rule: a request ends at its blank line ("\r\n\r\n"). The
+// stream is rejected instead, and the connection answered 400 and closed,
+// as soon as the next request's first line is whole and fails
+// ParseHttpRequest, or kMaxRequestBytes pass without a blank line. The
+// contract is that the popped requests and the reject depend only on the
+// concatenated byte stream, never on where the chunk boundaries fell (the
+// fuzz tests assert this).
 class HttpRequestFramer {
  public:
   void Append(const std::uint8_t* data, std::size_t len);
   void Append(const std::string& chunk) {
     Append(reinterpret_cast<const std::uint8_t*>(chunk.data()), chunk.size());
   }
-  // True if a complete request ("\r\n\r\n"-terminated) is buffered.
+  // True if a complete request is buffered.
   bool HasRequest() const { return next_end_ != std::string::npos; }
-  // Pops the first complete request (terminator included); false if none.
+  // Pops the first complete request (blank line included); false if none.
+  // A popped request's first line always parses.
   bool PopRequest(std::string* out);
-  bool overflowed() const { return overflowed_; }
+  bool rejected() const { return rejected_; }
   std::size_t buffered() const { return buf_.size(); }
 
  private:
   void Rescan(std::size_t from);
   std::string buf_;
   std::size_t next_end_ = std::string::npos;  // offset one past "\r\n\r\n"
-  std::size_t scan_from_ = 0;                 // resume point for the terminator scan
-  bool overflowed_ = false;
+  std::size_t scan_from_ = 0;                 // resume point for both scans
+  bool line_checked_ = false;                 // the head request's first line parsed
+  bool rejected_ = false;
 };
 
 // The static page: paper serves a 4.1 KB page.
@@ -114,14 +119,16 @@ class HttpServer {
   };
   void SetAdmission(Admission a) { admission_ = a; }
 
-  // HTTP/1.1 keep-alive serving discipline. Off (the default) preserves the
-  // legacy one-request-per-connection HTTP/1.0 flow byte for byte. On, a
-  // connection serves up to `max_requests` requests (0 = unlimited), closes
-  // after `idle_timeout` cycles with no request in flight, allows at most
-  // `max_pipeline` already-complete pipelined requests queued at once
-  // (excess closes the connection after serving that many), and gives each
-  // request `header_deadline` cycles from its first byte to its terminator —
-  // the slowloris defense: a trickler's total budget, not a per-byte one.
+  // HTTP/1.1 keep-alive serving discipline. Off (the default), the server
+  // answers HTTP/1.0 and closes after the first response: the same
+  // connection loop with a one-request budget, which budget_closes() does
+  // not count. On, a connection serves up to `max_requests` requests
+  // (0 = unlimited) and allows at most `max_pipeline` already-complete
+  // pipelined requests queued at once (excess closes the connection after
+  // serving that many). Either way a connection closes quietly after
+  // `idle_timeout` cycles with no request in flight, and each request gets
+  // `header_deadline` cycles from its first byte to its blank line — the
+  // slowloris defense: a trickler's total budget, not a per-byte one.
   // Deadline expiry answers 408 and counts as a shed (kRecoverShed cause 2).
   struct KeepAlive {
     bool enabled = false;
@@ -151,29 +158,22 @@ class HttpServer {
   std::uint64_t bad_requests() const { return bad_requests_; }
 
  private:
-  // The handler task for an accepted connection. Not a coroutine itself, so
-  // it adds no frame of its own: Serve() spawns and Worker() awaits the
-  // handler directly.
-  Task<> HandlerFor(net::NetStack::TcpConn* conn);
-  // HTTP/1.0: one request, one response, close.
+  // The one connection loop: Serve() spawns it and Worker() awaits it. Its
+  // frame is what a held idle connection costs; the per-request state lives
+  // in the two callees below and exists only while they run.
   Task<> ServeConnection(net::NetStack::TcpConn* conn);
-  // HTTP/1.1 keep-alive. Its frame is what a held idle connection costs; the
-  // per-request state lives in the two callees below and exists only while
-  // they run.
-  Task<> ServeConnectionKeepAlive(net::NetStack::TcpConn* conn);
   // How a burst of pipelined requests ended.
   enum class BurstEnd : std::uint8_t {
     kOpen,    // every complete request answered; keep the connection
-    kClose,   // the last answer said "close" (bad request, budget, pipeline)
+    kClose,   // the last answer said "close" (HTTP/1.0, budget, pipeline)
     kHalted,  // the serving core halted: fail-stop, no reply and no close
   };
   // Pops and answers the complete requests buffered in `framer`.
   Task<BurstEnd> ServeBurst(net::NetStack::TcpConn* conn, HttpRequestFramer& framer,
                             int& served_on_conn);
-  // Answers `status` (400 or 408; 0 = no reply), then closes and releases.
-  Task<> FinishKeepAlive(net::NetStack::TcpConn* conn, int status);
-  // Answers 503 and closes; the cheap path that keeps shedding graceful.
-  Task<> ShedConnection(net::NetStack::TcpConn* conn);
+  // Answers `status` (400, 408 or 503; 0 = no reply), then closes and
+  // releases. A 503 is the cheap path that keeps shedding graceful.
+  Task<> CloseConnection(net::NetStack::TcpConn* conn, int status);
   // Admission-queue drainer; `workers` of these run when the policy is on.
   Task<> Worker();
 
@@ -192,9 +192,9 @@ class HttpServer {
   std::uint64_t shed_deadline_ = 0;
   std::uint64_t shed_progress_ = 0;    // slowloris: progress deadline → 408
   std::uint64_t idle_closes_ = 0;      // keep-alive idle timeout fired
-  std::uint64_t budget_closes_ = 0;    // per-connection request budget hit
+  std::uint64_t budget_closes_ = 0;    // keep-alive request budget hit
   std::uint64_t pipeline_closes_ = 0;  // pipeline depth exceeded
-  std::uint64_t bad_requests_ = 0;     // malformed or oversized → 400
+  std::uint64_t bad_requests_ = 0;     // framer rejected the stream → 400
 };
 
 // Builds the TPC-W-like browsing database (items and authors tables).

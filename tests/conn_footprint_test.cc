@@ -71,8 +71,8 @@ constexpr int kHeld = 2000;
 // Before the lazy TCP queues and the slim keep-alive handler a held
 // connection cost 4,631 bytes in 15 allocations: the two std::deque queues
 // of each TcpConn kept their maps and nodes (~1.1 KiB a side), plus an
-// 832 B ServeConnectionKeepAlive frame and a 480 B ServeConnection wrapper
-// frame. Now it is 999 bytes in 5 allocations (DESIGN.md §15).
+// 832 B keep-alive handler frame and a 480 B dispatch wrapper frame. Now it
+// is 983 bytes in 5 allocations (DESIGN.md §15).
 constexpr double kMaxBytesPerConn = 1536;
 
 // Opens the held connections one after another. Each connects, sends one
@@ -113,7 +113,8 @@ TEST(ConnFootprint, HeldKeepAliveConnectionStaysUnderBudget) {
   http.SetKeepAlive(ka);
   HttpResponse page;
   page.body = StaticIndexPage();
-  const std::size_t response_bytes = RenderHttpResponse11(page, true).size();
+  const std::size_t response_bytes =
+      RenderHttpResponse(page, /*http11=*/true, /*keep_alive=*/true).size();
   std::vector<net::NetStack::TcpConn*> held;
   held.reserve(kHeld);
   exec.Spawn(http.Serve());

@@ -91,6 +91,12 @@ struct TwoMachineWorld {
     wire = std::make_unique<net::CrossWire>(*engine, 0, a->nic, 1, b->nic,
                                             kLatency);
   }
+  // Stops the pumps and lets them return, so no pump frame outlives the
+  // test.
+  ~TwoMachineWorld() {
+    wire->Stop();
+    engine->Run();
+  }
 
   std::unique_ptr<sim::ParallelEngine> engine;
   std::unique_ptr<WireHost> a;

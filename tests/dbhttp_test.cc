@@ -331,6 +331,7 @@ TEST(HttpServerEndToEnd, GarbageRequestGets400) {
   std::string reply = f.Roundtrip("\x02\x7f not-http at all\n");
   EXPECT_EQ(reply.rfind("HTTP/1.0 400", 0), 0u);
   EXPECT_EQ(f.server.requests_served(), 0u);
+  EXPECT_EQ(f.server.bad_requests(), 1u);
 }
 
 TEST(HttpServerEndToEnd, OversizedHeaderlessRequestGets400AndBoundedBuffer) {
@@ -341,6 +342,31 @@ TEST(HttpServerEndToEnd, OversizedHeaderlessRequestGets400AndBoundedBuffer) {
   std::string reply = f.Roundtrip(flood);
   EXPECT_EQ(reply.rfind("HTTP/1.0 400", 0), 0u);
   EXPECT_EQ(f.server.requests_served(), 0u);
+  EXPECT_EQ(f.server.bad_requests(), 1u);
+}
+
+TEST(HttpServerEndToEnd, PeerCloseBeforeFullRequestIsClosedAndReleased) {
+  HttpFixture f;
+  // The client sends half a request line and closes. The server must close
+  // its side too (its FIN reaches the client) and release the connection,
+  // so the server's table drains instead of holding a CLOSE_WAIT forever.
+  net::NetStack::TcpConn* conn = nullptr;
+  f.exec.Spawn([](net::NetStack& stack, net::NetStack::TcpConn*& c) -> Task<> {
+    c = co_await stack.TcpConnect(kSrvIp, 80);
+    co_await stack.TcpSend(*c, "GET /ind");
+    co_await stack.TcpClose(*c);
+    while (!c->peer_closed) {
+      (void)co_await c->Read();
+    }
+  }(f.client_stack, conn));
+  f.exec.Run();
+  ASSERT_NE(conn, nullptr);
+  EXPECT_TRUE(conn->peer_closed);  // the server's FIN arrived
+  EXPECT_EQ(f.server.requests_served(), 0u);
+  EXPECT_EQ(f.server.bad_requests(), 0u);
+  EXPECT_EQ(f.server_stack.established_count(), 0);
+  EXPECT_EQ(f.server_stack.conn_table().live(), 0u);
+  f.client_stack.Release(conn);
 }
 
 TEST(HttpServerEndToEnd, MalformedBuyWidGets400) {

@@ -11,6 +11,7 @@
 // tie-break rule, a stray source of nondeterminism) fails this test.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -330,10 +331,14 @@ ScaleoutRunResult RunMultiQueueServingWorkload() {
   };
   Harness h(machine, nic, kSrvIp, kSrvMac, kCliIp, kCliMac);
 
-  // Echo servers: read one chunk, send it back, close.
+  // Echo servers: read one chunk, send it back, close. A null connection is
+  // the teardown's stop sentinel.
   auto serve = [](net::NetStack& stack, net::NetStack::Listener& l) -> Task<> {
     for (;;) {
       net::NetStack::TcpConn* conn = co_await l.Accept();
+      if (conn == nullptr) {
+        co_return;
+      }
       auto chunk = co_await conn->Read();
       if (!chunk.empty()) {
         co_await stack.TcpSend(*conn, chunk.data(), chunk.size());
@@ -409,6 +414,16 @@ ScaleoutRunResult RunMultiQueueServingWorkload() {
     r.per_queue.push_back(nic.queue_stats(q).rx_frames);
     r.per_queue.push_back(nic.queue_stats(q).tx_frames);
   }
+  // Teardown, after the measurement: wake the echo servers parked in Accept
+  // and the wire sink parked on wire_out_ready so every task returns and no
+  // coroutine frame outlives the run.
+  for (net::NetStack* stack : {&h.web0, &h.web1}) {
+    net::NetStack::Listener& listener = stack->TcpListen(80);
+    listener.accepted.push_back(nullptr);
+    listener.ready.Signal();
+  }
+  nic.wire_out_ready().Signal();
+  exec.Run();
   return r;
 }
 

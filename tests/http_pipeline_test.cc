@@ -1,8 +1,9 @@
 // Tests for HTTP/1.1 keep-alive pipelining: the HttpRequestFramer's
-// chunking-identity contract (the popped request sequence depends only on
-// the concatenated byte stream, never on segment boundaries), pipelined
-// back-to-back requests, the end-to-end 400-on-oversized path, and the
-// fail-stop path of a serving core that halts mid-request.
+// chunking-identity contract (the popped request sequence and the reject
+// depend only on the concatenated byte stream, never on segment boundaries),
+// pipelined back-to-back requests, the end-to-end 400 paths (oversized
+// stream, garbage request line), and the fail-stop path of a serving core
+// that halts mid-request.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -46,7 +47,7 @@ TEST(HttpRequestFramer, BackToBackRequestsInOneChunk) {
   EXPECT_EQ(got[1], "GET /b HTTP/1.1\r\nHost: x\r\n\r\n");
   EXPECT_EQ(got[2], "GET /c HTTP/1.1\r\n\r\n");
   EXPECT_EQ(framer.buffered(), 0u);
-  EXPECT_FALSE(framer.overflowed());
+  EXPECT_FALSE(framer.rejected());
 }
 
 TEST(HttpRequestFramer, TerminatorSplitAcrossEveryBoundary) {
@@ -103,10 +104,40 @@ TEST(HttpRequestFramer, ChunkingIdentityFuzz) {
   }
 }
 
+TEST(HttpRequestFramer, GarbageRequestLineRejectsAtEverySplit) {
+  // Two good requests, then a request whose first line does not parse. Cut
+  // into three chunks at every pair of positions and popped eagerly, the
+  // stream always yields exactly the two good requests and then the reject,
+  // whether or not a blank line (and more requests) follow the garbage.
+  const std::string good = "GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\nHost: x\r\n\r\n";
+  const std::vector<std::string> expect = {"GET /a HTTP/1.1\r\n\r\n",
+                                           "GET /b HTTP/1.1\r\nHost: x\r\n\r\n"};
+  for (const char* tail :
+       {"\x02\x7f junk\r\n", "\x02\x7f junk\r\n\r\nGET /c HTTP/1.1\r\n\r\n"}) {
+    const std::string stream = good + tail;
+    for (std::size_t a = 0; a <= stream.size(); ++a) {
+      for (std::size_t b = a; b <= stream.size(); ++b) {
+        HttpRequestFramer framer;
+        std::vector<std::string> got;
+        for (const std::string& chunk :
+             {stream.substr(0, a), stream.substr(a, b - a), stream.substr(b)}) {
+          framer.Append(chunk);
+          for (std::string r; framer.PopRequest(&r);) {
+            got.push_back(r);
+          }
+        }
+        ASSERT_EQ(got, expect) << "cuts at " << a << ", " << b;
+        ASSERT_TRUE(framer.rejected()) << "cuts at " << a << ", " << b;
+        ASSERT_FALSE(framer.HasRequest()) << "cuts at " << a << ", " << b;
+      }
+    }
+  }
+}
+
 TEST(HttpRequestFramer, OverflowOnTerminatorlessStream) {
   HttpRequestFramer framer;
   framer.Append(std::string(kMaxRequestBytes + 1, 'A'));
-  EXPECT_TRUE(framer.overflowed());
+  EXPECT_TRUE(framer.rejected());
   EXPECT_FALSE(framer.HasRequest());
 }
 
@@ -203,6 +234,43 @@ TEST(HttpKeepAliveEndToEnd, OversizedRequestGets400AndClose) {
   EXPECT_EQ(reply.rfind("HTTP/1.1 400", 0), 0u);
   EXPECT_EQ(f.server.requests_served(), 0u);
   EXPECT_EQ(f.server.bad_requests(), 1u);
+}
+
+TEST(HttpKeepAliveEndToEnd, GarbageRequestLineGets400BeforeHeaderDeadline) {
+  KeepAliveFixture f;
+  // A garbage first line with no blank line after it is answered 400 and
+  // closed as soon as the line is whole, not left to run out the 1M-cycle
+  // header deadline and draw a 408.
+  Cycles sent_at = 0;
+  Cycles closed_at = 0;
+  std::string reply;
+  f.exec.Spawn([](sim::Executor& exec, net::NetStack& stack, Cycles& sent, Cycles& closed,
+                  std::string& out) -> Task<> {
+    net::NetStack::TcpConn* c = co_await stack.TcpConnect(kSrvIp, 80, 5'000'000);
+    if (c == nullptr) {
+      co_return;
+    }
+    sent = exec.now();
+    co_await stack.TcpSend(*c, "\x02\x7f junk\r\n");
+    for (;;) {
+      auto chunk = co_await c->Read();
+      if (chunk.empty()) {
+        break;  // the server closed
+      }
+      out.append(chunk.begin(), chunk.end());
+    }
+    closed = exec.now();
+    co_await stack.TcpClose(*c);
+    stack.Release(c);
+  }(f.exec, f.client_stack, sent_at, closed_at, reply));
+  f.exec.Run();
+  EXPECT_EQ(reply.rfind("HTTP/1.1 400", 0), 0u);
+  EXPECT_NE(reply.find("Connection: close"), std::string::npos);
+  ASSERT_GT(closed_at, sent_at);
+  EXPECT_LT(closed_at - sent_at, Cycles{1'000'000});
+  EXPECT_EQ(f.server.bad_requests(), 1u);
+  EXPECT_EQ(f.server.shed_progress(), 0u);
+  EXPECT_EQ(f.server.requests_served(), 0u);
 }
 
 TEST(HttpKeepAliveEndToEnd, CoreHaltInsideHandleSendsNoReplyNoFinAndNoRelease) {
