@@ -13,6 +13,7 @@
 #include <new>
 #include <vector>
 
+#include "apps/dbshard.h"
 #include "apps/httpd.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
@@ -365,6 +366,34 @@ void BM_HeldConnectionFootprint(benchmark::State& state) {
   state.counters["live_allocs_per_conn"] = allocs_per_conn;
 }
 BENCHMARK(BM_HeldConnectionFootprint)->Unit(benchmark::kMillisecond);
+
+// --- Database replicas: host cost of building a replica cluster ---
+
+// Builds an 8-shard DbReplicaCluster (the rack-read backend shape, one shard
+// per package of the 8x4 AMD) over an 8,000-item TPC-W catalog and tears it
+// down. Replicas share the catalog's tables copy-on-write, so the time and
+// heap_bytes (malloc's in-use bytes the built cluster adds, allocator
+// overhead included) are the shards' channels, not eight catalog copies.
+void BM_ReplicaClusterBuild(benchmark::State& state) {
+  constexpr int kShards = 8;
+  sim::Executor exec;
+  hw::Machine m(exec, hw::Amd8x4());
+  apps::Database catalog;
+  apps::PopulateTpcw(&catalog, 8'000);
+  std::vector<apps::ShardPlacement> placements;
+  for (int k = 0; k < kShards; ++k) {
+    placements.push_back({4 * k, 4 * k + 1});
+  }
+  double heap_bytes = 0;
+  for (auto _ : state) {
+    const std::size_t bytes_before = MallocInUse();
+    apps::DbReplicaCluster cluster(m, catalog, placements);
+    heap_bytes = static_cast<double>(MallocInUse() - bytes_before);
+    benchmark::DoNotOptimize(cluster.num_shards());
+  }
+  state.counters["heap_bytes"] = heap_bytes;
+}
+BENCHMARK(BM_ReplicaClusterBuild)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

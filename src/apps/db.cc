@@ -154,6 +154,13 @@ bool Database::WhereClause::Matches(const std::vector<DbValue>& row) const {
   return ApplyOp(op, Compare(row[static_cast<std::size_t>(col)], val));
 }
 
+Database::Table& Database::Unshare(std::shared_ptr<Table>& slot) {
+  if (slot.use_count() > 1) {
+    slot = std::make_shared<Table>(*slot);
+  }
+  return *slot;
+}
+
 std::optional<DbError> Database::ParseWhere(DbTokenizer& tok, const Table& table,
                                             WhereClause* out) {
   std::string col = tok.Next();
@@ -208,7 +215,7 @@ std::optional<DbError> Database::Exec(const std::string& sql) {
     if (tables_.count(name) != 0) {
       return DbError{"table exists: " + name};
     }
-    tables_[name] = std::move(table);
+    tables_[name] = std::make_shared<Table>(std::move(table));
     return std::nullopt;
   }
   if (verb == "INSERT") {
@@ -220,6 +227,7 @@ std::optional<DbError> Database::Exec(const std::string& sql) {
     if (it == tables_.end()) {
       return DbError{"no such table: " + name};
     }
+    const Table& table = *it->second;
     if (tok.Next() != "VALUES" || tok.Next() != "(") {
       return DbError{"expected VALUES ("};
     }
@@ -242,16 +250,15 @@ std::optional<DbError> Database::Exec(const std::string& sql) {
         return DbError{"expected , or )"};
       }
     }
-    if (row.size() != it->second.columns.size()) {
+    if (row.size() != table.columns.size()) {
       return DbError{"value count mismatch"};
     }
     for (std::size_t i = 0; i < row.size(); ++i) {
-      bool want_int = it->second.columns[i].is_int;
-      if (want_int != std::holds_alternative<std::int64_t>(row[i])) {
-        return DbError{"type mismatch in column " + it->second.columns[i].name};
+      if (table.columns[i].is_int != std::holds_alternative<std::int64_t>(row[i])) {
+        return DbError{"type mismatch in column " + table.columns[i].name};
       }
     }
-    it->second.rows.push_back(std::move(row));
+    Unshare(it->second).rows.push_back(std::move(row));
     ++rows_inserted_;
     return std::nullopt;
   }
@@ -277,7 +284,7 @@ std::optional<DbError> Database::ExecUpdate(DbTokenizer& tok) {
   if (it == tables_.end()) {
     return DbError{"no such table: " + name};
   }
-  Table& table = it->second;
+  const Table& table = *it->second;
   if (tok.Next() != "SET") {
     return DbError{"expected SET"};
   }
@@ -325,9 +332,12 @@ std::optional<DbError> Database::ExecUpdate(DbTokenizer& tok) {
       matched.push_back(r);
     }
   }
-  for (std::size_t r : matched) {
-    for (const auto& [idx, v] : assignments) {
-      table.rows[r][static_cast<std::size_t>(idx)] = v;
+  if (!matched.empty()) {
+    Table& written = Unshare(it->second);
+    for (std::size_t r : matched) {
+      for (const auto& [idx, v] : assignments) {
+        written.rows[r][static_cast<std::size_t>(idx)] = v;
+      }
     }
   }
   rows_changed_ = matched.size();
@@ -344,7 +354,7 @@ std::optional<DbError> Database::ExecDelete(DbTokenizer& tok) {
   if (it == tables_.end()) {
     return DbError{"no such table: " + name};
   }
-  Table& table = it->second;
+  const Table& table = *it->second;
   WhereClause where;
   std::string kw = tok.Next();
   if (kw == "WHERE") {
@@ -357,10 +367,16 @@ std::optional<DbError> Database::ExecDelete(DbTokenizer& tok) {
     return DbError{"trailing tokens: " + kw};
   }
   last_exec_scanned_ = table.rows.size();
-  std::size_t before = table.rows.size();
-  std::erase_if(table.rows,
-                [&where](const std::vector<DbValue>& row) { return where.Matches(row); });
-  rows_changed_ = before - table.rows.size();
+  auto matches = [&where](const std::vector<DbValue>& row) { return where.Matches(row); };
+  auto first = std::find_if(table.rows.begin(), table.rows.end(), matches);
+  if (first == table.rows.end()) {
+    return std::nullopt;  // nothing to delete: the table stays shared
+  }
+  const auto at = first - table.rows.begin();
+  std::vector<std::vector<DbValue>>& rows = Unshare(it->second).rows;
+  const std::size_t before = rows.size();
+  rows.erase(std::remove_if(rows.begin() + at, rows.end(), matches), rows.end());
+  rows_changed_ = before - rows.size();
   return std::nullopt;
 }
 
@@ -395,7 +411,7 @@ std::variant<Database::ResultSet, DbError> Database::Query(const std::string& sq
   if (it == tables_.end()) {
     return DbError{"no such table: " + name};
   }
-  const Table& table = it->second;
+  const Table& table = *it->second;
 
   int where_col = -1;
   std::string where_op;
@@ -501,17 +517,24 @@ std::variant<Database::ResultSet, DbError> Database::Query(const std::string& sq
 
 std::size_t Database::TableRows(const std::string& name) const {
   auto it = tables_.find(name);
-  return it == tables_.end() ? 0 : it->second.rows.size();
+  return it == tables_.end() ? 0 : it->second->rows.size();
 }
 
 std::size_t Database::TotalRows() const {
   std::size_t total = 0;
   for (const auto& [name, table] : tables_) {
-    total += table.rows.size();
+    total += table->rows.size();
   }
   return total;
 }
 
 bool Database::HasTable(const std::string& name) const { return tables_.count(name) != 0; }
+
+bool Database::SharesTable(const Database& other, const std::string& name) const {
+  auto mine = tables_.find(name);
+  auto theirs = other.tables_.find(name);
+  return mine != tables_.end() && theirs != other.tables_.end() &&
+         mine->second == theirs->second;
+}
 
 }  // namespace mk::apps

@@ -7,11 +7,23 @@
 // cost charged by the serving process is derived from the rows scanned and
 // returned, so the "bottlenecked at the SQLite server core" behavior of the
 // paper reproduces.
+//
+// Copying a Database is cheap: copies share each table on the host until one
+// side writes it (copy-on-write). A statement that changes rows first clones
+// a table other copies still hold; reads and statements that fail or match
+// no row never clone. Replicas are therefore one host catalog, while the
+// simulated costs (rows scanned, state transfer per row) stay per replica.
+// Thread rule: one Database object is used by one host thread at a time, but
+// copies that share tables may be used by different threads. Reads never
+// write a shared table, and a write first clones a table another copy holds
+// (use_count() > 1). A table whose use_count() is 1 is held by no other
+// Database, so no other thread can be reading it.
 #ifndef MK_APPS_DB_H_
 #define MK_APPS_DB_H_
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <variant>
@@ -49,6 +61,9 @@ class Database {
   // Rows across all tables: the size basis for replica state transfer.
   std::size_t TotalRows() const;
   bool HasTable(const std::string& name) const;
+  // True when this database and `other` hold one host copy of table `name`:
+  // neither has changed its rows since one was copied from the other.
+  bool SharesTable(const Database& other, const std::string& name) const;
 
   // --- Write-path ledger (mutation accounting the store's invariants audit) ---
 
@@ -77,11 +92,15 @@ class Database {
     DbValue val;
     bool Matches(const std::vector<DbValue>& row) const;
   };
+  // Makes `slot` the only holder of its table (clones it if other copies
+  // share it) and returns it for writing. Call only once a statement is
+  // about to change rows.
+  static Table& Unshare(std::shared_ptr<Table>& slot);
   std::optional<DbError> ExecUpdate(class DbTokenizer& tok);
   std::optional<DbError> ExecDelete(class DbTokenizer& tok);
   static std::optional<DbError> ParseWhere(DbTokenizer& tok, const Table& table,
                                            WhereClause* out);
-  std::map<std::string, Table> tables_;
+  std::map<std::string, std::shared_ptr<Table>> tables_;
   std::uint64_t rows_inserted_ = 0;
   std::uint64_t rows_changed_ = 0;
   std::uint64_t last_exec_scanned_ = 0;

@@ -105,6 +105,7 @@ class DbReplicaCluster {
   Database& replica_db_for_test(int shard) {
     return shards_[static_cast<std::size_t>(shard)]->db;
   }
+  const Database& source_db_for_test() const { return source_; }
 
  private:
   struct Shard {

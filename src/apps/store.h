@@ -134,8 +134,11 @@ class ReplicatedStore {
   std::uint64_t replica_applied_lsn(int shard, int slot) const {
     return group(shard).replicas[static_cast<std::size_t>(slot)]->applied_lsn;
   }
+  const Database& replica_db(int shard, int slot) const {
+    return group(shard).replicas[static_cast<std::size_t>(slot)]->db;
+  }
   std::size_t replica_table_rows(int shard, int slot, const std::string& table) const {
-    return group(shard).replicas[static_cast<std::size_t>(slot)]->db.TableRows(table);
+    return replica_db(shard, slot).TableRows(table);
   }
   std::size_t replica_distinct_wids(int shard, int slot) const {
     return group(shard).replicas[static_cast<std::size_t>(slot)]->applied_wids.size();

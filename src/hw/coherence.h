@@ -111,11 +111,9 @@ class CoherentMemory {
   const Topology& topo_;
   PerfCounters& counters_;
   std::unordered_map<Addr, Line> lines_;
-  std::unordered_map<Addr, int> region_home_;  // alloc base -> home (coarse)
   std::vector<sim::FifoResource> home_ctrl_;        // per package
   std::unordered_map<Addr, sim::FifoResource> c2c_line_;  // per hot line
   sim::FifoResource bus_;                      // FSB only
-  Addr next_alloc_ = 0x1000'0000;
   std::vector<Addr> node_cursor_;              // per-node allocation cursors
 };
 

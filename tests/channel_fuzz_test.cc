@@ -19,10 +19,13 @@ using kernel::CpuDriver;
 using sim::Cycles;
 using sim::Task;
 
+// Every field is 4 or 8 bytes, so the struct has no padding: gtest names a
+// parameter without a printer by its raw bytes, and padding bytes are
+// indeterminate, so with padding the test names would differ between builds.
 struct FuzzCase {
   std::uint64_t seed;
   int slots;
-  bool prefetch;
+  int prefetch;  // 0 or 1
   int numa_node;
   int sender;
   int receiver;
@@ -76,7 +79,7 @@ TEST_P(ChannelFuzz, ExactlyOnceInOrderWithinWindow) {
   hw::Machine m(exec, hw::Amd8x4());
   ChannelOptions opts;
   opts.slots = c.slots;
-  opts.prefetch = c.prefetch;
+  opts.prefetch = c.prefetch != 0;
   opts.numa_node = c.numa_node;
   Channel ch(m, c.sender, c.receiver, opts);
   std::vector<int> got;
@@ -112,7 +115,7 @@ TEST_P(ChannelFuzz, DeterministicReplay) {
     hw::Machine m(exec, hw::Amd8x4());
     ChannelOptions opts;
     opts.slots = c.slots;
-    opts.prefetch = c.prefetch;
+    opts.prefetch = c.prefetch != 0;
     opts.numa_node = c.numa_node;
     Channel ch(m, c.sender, c.receiver, opts);
     std::vector<int> got;
@@ -126,12 +129,12 @@ TEST_P(ChannelFuzz, DeterministicReplay) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ChannelFuzz,
-    ::testing::Values(FuzzCase{11, 1, false, -1, 0, 4, 80},    // tiny window
-                      FuzzCase{12, 2, false, -1, 0, 1, 120},   // shared cache
-                      FuzzCase{13, 8, true, -1, 0, 12, 150},   // prefetch, 2 hops
-                      FuzzCase{14, 16, false, 3, 0, 12, 150},  // receiver-local
-                      FuzzCase{15, 16, true, -1, 31, 0, 200},  // reverse direction
-                      FuzzCase{16, 64, true, -1, 0, 28, 250}), // big window, far
+    ::testing::Values(FuzzCase{11, 1, 0, -1, 0, 4, 80},    // tiny window
+                      FuzzCase{12, 2, 0, -1, 0, 1, 120},   // shared cache
+                      FuzzCase{13, 8, 1, -1, 0, 12, 150},  // prefetch, 2 hops
+                      FuzzCase{14, 16, 0, 3, 0, 12, 150},  // receiver-local
+                      FuzzCase{15, 16, 1, -1, 31, 0, 200}, // reverse direction
+                      FuzzCase{16, 64, 1, -1, 0, 28, 250}), // big window, far
     [](const ::testing::TestParamInfo<FuzzCase>& info) {
       return "seed" + std::to_string(info.param.seed);
     });

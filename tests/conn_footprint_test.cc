@@ -1,13 +1,10 @@
 // Host-memory footprint of a held keep-alive connection: the heap a client
 // stack, a server stack and an HttpServer keep alive per idle connection
-// after it has served one request. Counts every operator new/delete in the
-// process (its own binary, so no other test shares the counters), the same
-// idiom as bench/microbench.cc, but tracking live requested bytes.
-#include <atomic>
+// after it has served one request. Its own binary with live_heap.cc, which
+// counts every operator new/delete in the process (the same idiom as
+// bench/microbench.cc, but tracking live requested bytes).
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -16,47 +13,11 @@
 #include "apps/httpd.h"
 #include "hw/machine.h"
 #include "hw/platform.h"
+#include "live_heap.h"
 #include "net/stack.h"
 #include "net/wire.h"
 #include "sim/executor.h"
 #include "sim/task.h"
-
-namespace {
-
-// Each block carries its requested size in a 16-byte header, which keeps the
-// returned pointer at the default new alignment.
-constexpr std::size_t kHeader = 16;
-std::atomic<std::int64_t> g_live_bytes{0};
-std::atomic<std::int64_t> g_live_allocs{0};
-
-}  // namespace
-
-void* operator new(std::size_t n) {
-  auto* p = static_cast<unsigned char*>(std::malloc(n + kHeader));
-  if (p == nullptr) {
-    throw std::bad_alloc{};
-  }
-  *reinterpret_cast<std::size_t*>(p) = n;
-  g_live_bytes.fetch_add(static_cast<std::int64_t>(n), std::memory_order_relaxed);
-  g_live_allocs.fetch_add(1, std::memory_order_relaxed);
-  return p + kHeader;
-}
-
-void* operator new[](std::size_t n) { return ::operator new(n); }
-
-void operator delete(void* q) noexcept {
-  if (q == nullptr) {
-    return;
-  }
-  unsigned char* p = static_cast<unsigned char*>(q) - kHeader;
-  g_live_bytes.fetch_sub(static_cast<std::int64_t>(*reinterpret_cast<std::size_t*>(p)),
-                         std::memory_order_relaxed);
-  g_live_allocs.fetch_sub(1, std::memory_order_relaxed);
-  std::free(p);
-}
-void operator delete(void* q, std::size_t) noexcept { ::operator delete(q); }
-void operator delete[](void* q) noexcept { ::operator delete(q); }
-void operator delete[](void* q, std::size_t) noexcept { ::operator delete(q); }
 
 namespace mk::apps {
 namespace {
@@ -120,12 +81,12 @@ TEST(ConnFootprint, HeldKeepAliveConnectionStaysUnderBudget) {
   exec.Spawn(http.Serve());
   exec.Run();
 
-  const std::int64_t bytes_before = g_live_bytes.load();
-  const std::int64_t allocs_before = g_live_allocs.load();
+  const std::int64_t bytes_before = LiveHeapBytes();
+  const std::int64_t allocs_before = LiveHeapAllocs();
   exec.Spawn(HoldAll(client, response_bytes, held));
   exec.Run();
-  const double bytes = static_cast<double>(g_live_bytes.load() - bytes_before) / kHeld;
-  const double allocs = static_cast<double>(g_live_allocs.load() - allocs_before) / kHeld;
+  const double bytes = static_cast<double>(LiveHeapBytes() - bytes_before) / kHeld;
+  const double allocs = static_cast<double>(LiveHeapAllocs() - allocs_before) / kHeld;
 
   ASSERT_EQ(held.size(), static_cast<std::size_t>(kHeld));
   EXPECT_EQ(http.requests_served(), static_cast<std::uint64_t>(kHeld));

@@ -187,6 +187,55 @@ TEST(Db, IntegerLiteralOverflowIsRejectedNotWrapped) {
   EXPECT_EQ(std::get<std::int64_t>(rs.rows[0][0]), 9223372036854775807LL);
 }
 
+// --- Copy-on-write tables: copies share a table until one side writes it ---
+
+TEST(DbCopyOnWrite, EachSideWritesOnlyItsOwnRows) {
+  const std::string kAll = "SELECT * FROM items";
+  for (const std::string sql : {"INSERT INTO items VALUES (5, 'eps', 100)",
+                                "UPDATE items SET i_cost = 1 WHERE i_id = 2",
+                                "DELETE FROM items WHERE i_cost = 300"}) {
+    for (bool write_copy : {false, true}) {
+      SCOPED_TRACE(sql + (write_copy ? " on the copy" : " on the original"));
+      Database original = MakeDb();
+      Database copy = original;
+      EXPECT_TRUE(copy.SharesTable(original, "ITEMS"));
+      Database& writer = write_copy ? copy : original;
+      const Database& reader = write_copy ? original : copy;
+      const auto before = MustQuery(reader, kAll).rows;
+      ASSERT_FALSE(writer.Exec(sql));
+      EXPECT_NE(MustQuery(writer, kAll).rows, before);
+      EXPECT_EQ(MustQuery(reader, kAll).rows, before);
+      EXPECT_EQ(reader.rows_inserted(), 4u);
+      EXPECT_FALSE(writer.SharesTable(reader, "ITEMS"));
+      // The writer's next statement writes its own copy in place.
+      ASSERT_FALSE(writer.Exec("UPDATE items SET i_title = 'w'"));
+      EXPECT_EQ(MustQuery(reader, kAll).rows, before);
+    }
+  }
+}
+
+TEST(DbCopyOnWrite, FailedOrZeroRowStatementsKeepTheTableShared) {
+  Database original = MakeDb();
+  Database copy = original;
+  for (const char* sql : {"INSERT INTO items VALUES (5, 'eps')",
+                          "INSERT INTO items VALUES (5, 6, 7)",
+                          "UPDATE items SET i_cost = 1 WHERE i_id = 99",
+                          "UPDATE items SET nope = 1",
+                          "UPDATE items SET i_cost = 1 WHERE i_id = 2 junk",
+                          "DELETE FROM items WHERE i_id = 99",
+                          "DELETE FROM items WHERE nope = 1",
+                          "CREATE TABLE other (x INT)"}) {
+    copy.Exec(sql);
+    EXPECT_TRUE(copy.SharesTable(original, "ITEMS")) << sql;
+  }
+  EXPECT_EQ(copy.rows_inserted(), 4u);
+  EXPECT_TRUE(copy.HasTable("OTHER"));
+  EXPECT_FALSE(original.HasTable("OTHER"));
+  // Writing the other table leaves this one shared.
+  EXPECT_FALSE(copy.Exec("INSERT INTO other VALUES (1)"));
+  EXPECT_TRUE(copy.SharesTable(original, "ITEMS"));
+}
+
 TEST(Http, ParsesRequestLine) {
   HttpRequest req;
   EXPECT_TRUE(ParseHttpRequest("GET /index.html HTTP/1.0\r\n\r\n", &req));
@@ -425,6 +474,32 @@ TEST(DbShard, ReplicasAnswerIdenticallyAndIndependently) {
   // Shutdown drained every Serve() loop: nothing is left alive or pending.
   EXPECT_EQ(exec.live_tasks(), 0u);
   EXPECT_EQ(exec.pending_events(), 0u);
+}
+
+TEST(DbShard, WritingOneReplicaLeavesSiblingsAndRespawnSourceUnchanged) {
+  sim::Executor exec;
+  hw::Machine machine(exec, hw::Amd4x4());
+  Database source;
+  PopulateTpcw(&source, 100);
+  DbReplicaCluster cluster(machine, source, {{0, 1}, {4, 5}, {8, 9}});
+  const std::string kAll = "SELECT * FROM items";
+  const auto before = MustQuery(source, kAll).rows;
+  for (int s = 0; s < cluster.num_shards(); ++s) {
+    EXPECT_TRUE(cluster.replica_db_for_test(s).SharesTable(source, "ITEMS"));
+  }
+  Database& written = cluster.replica_db_for_test(1);
+  ASSERT_FALSE(written.Exec("UPDATE items SET i_stock = 0 WHERE i_id = 42"));
+  ASSERT_FALSE(written.Exec("DELETE FROM items WHERE i_id = 7"));
+  ASSERT_FALSE(written.Exec("INSERT INTO items VALUES (100, 'new', 1, 1, 1)"));
+  EXPECT_NE(MustQuery(written, kAll).rows, before);
+  EXPECT_FALSE(written.SharesTable(source, "ITEMS"));
+  EXPECT_TRUE(written.SharesTable(source, "AUTHORS"));  // not written
+  for (int s : {0, 2}) {
+    EXPECT_EQ(MustQuery(cluster.replica_db_for_test(s), kAll).rows, before);
+    EXPECT_TRUE(cluster.replica_db_for_test(s).SharesTable(source, "ITEMS"));
+  }
+  EXPECT_EQ(MustQuery(cluster.source_db_for_test(), kAll).rows, before);
+  EXPECT_TRUE(cluster.source_db_for_test().SharesTable(source, "ITEMS"));
 }
 
 }  // namespace

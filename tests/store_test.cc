@@ -95,6 +95,34 @@ TEST(Store, WriteCommitsOnLeaderAndFollowerBeforeAck) {
   EXPECT_TRUE(f.fs.ReplicasConsistent());
 }
 
+// Replicas share the boot catalog on the host copy-on-write: a replicated
+// INSERT gives leader and follower each their own copy of the written table
+// and leaves the catalog they never write shared.
+TEST(Store, FollowerApplyLeavesTheLeadersCatalogShared) {
+  Fixture f;
+  ASSERT_FALSE(f.source.Exec("CREATE TABLE items (i_id INT, i_title TEXT)"));
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_FALSE(f.source.Exec("INSERT INTO items VALUES (" + std::to_string(i) + ", 'i')"));
+  }
+  ReplicatedStore& store = f.MakeStore({{0, {1, 2}, 3}});
+  f.exec.Spawn([](Fixture& fx, ReplicatedStore& st) -> Task<> {
+    EXPECT_EQ(co_await st.Execute(0, /*wid=*/1, Insert(10, 100)), "ok 1");
+    co_await st.Shutdown();
+    fx.sys.Shutdown();
+  }(f, store));
+  f.exec.Run();
+  ASSERT_EQ(store.leader_slot(0), 0);
+  ASSERT_EQ(store.replica_applied_lsn(0, 1), 1u);
+  const Database& leader = store.replica_db(0, 0);
+  const Database& follower = store.replica_db(0, 1);
+  EXPECT_EQ(leader.TableRows("KV"), 1u);
+  EXPECT_EQ(follower.TableRows("KV"), 1u);
+  EXPECT_EQ(f.source.TableRows("KV"), 0u);
+  EXPECT_FALSE(leader.SharesTable(follower, "KV"));
+  EXPECT_TRUE(leader.SharesTable(follower, "ITEMS"));
+  EXPECT_TRUE(leader.SharesTable(f.source, "ITEMS"));
+}
+
 TEST(Store, RetryWithSameWidAnswersDupWithoutReapplying) {
   Fixture f;
   ReplicatedStore& store = f.MakeStore({{0, {1, 2}, 3}});

@@ -2,6 +2,7 @@
 // results must be independent of thread count and synchronization flavor.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "apps/mapreduce.h"
@@ -94,6 +95,11 @@ struct InvarianceCase {
   Task<WorkloadResult> (*fn)(OmpRuntime&, WorkloadParams);
   double tolerance;  // relative, for FP reassociation
 };
+
+// Names each case by its workload; gtest's default byte dump would include
+// the name and function pointers, so the test names would change from build
+// to build.
+void PrintTo(const InvarianceCase& c, std::ostream* os) { *os << c.name; }
 
 class WorkloadInvariance : public ::testing::TestWithParam<InvarianceCase> {};
 
